@@ -30,7 +30,8 @@ import sys
 import threading
 import time as _time_module
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -389,6 +390,13 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
 # ----------------------------------------------------------------------
 # Protocol
 # ----------------------------------------------------------------------
+def invalid_line_response(message: str) -> Dict[str, Any]:
+    """The typed answer to a line that is not a request at all."""
+    return PredictionResponse(
+        status=STATUS_INVALID,
+        error={"code": "invalid_request", "message": message}).as_dict()
+
+
 def handle_request_line(line: str, service: PredictionService,
                         queued_at: Optional[float] = None
                         ) -> Tuple[Dict[str, Any], bool]:
@@ -405,10 +413,7 @@ def handle_request_line(line: str, service: PredictionService,
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
-        return (PredictionResponse(
-            status=STATUS_INVALID,
-            error={"code": "invalid_request",
-                   "message": f"unparseable JSON: {exc}"}).as_dict(), False)
+        return invalid_line_response(f"unparseable JSON: {exc}"), False
     if isinstance(payload, dict) and "op" in payload:
         op = payload["op"]
         if op == "health":
@@ -437,10 +442,7 @@ def handle_request_line(line: str, service: PredictionService,
             return state_fn(), False
         if op == "shutdown":
             return {"status": "shutting_down"}, True
-        return (PredictionResponse(
-            status=STATUS_INVALID,
-            error={"code": "invalid_request",
-                   "message": f"unknown op {op!r}"}).as_dict(), False)
+        return invalid_line_response(f"unknown op {op!r}"), False
     features, request_id, priority, deadline_s = split_envelope(payload)
     crash = getattr(service, "_crash", None)
     if crash is not None:
@@ -488,10 +490,7 @@ def handle_request_lines(lines: List[str], service: PredictionService,
         try:
             payload = json.loads(stripped)
         except json.JSONDecodeError as exc:
-            responses[i] = PredictionResponse(
-                status=STATUS_INVALID,
-                error={"code": "invalid_request",
-                       "message": f"unparseable JSON: {exc}"}).as_dict()
+            responses[i] = invalid_line_response(f"unparseable JSON: {exc}")
             continue
         if isinstance(payload, dict) and "op" in payload:
             flush()
@@ -505,6 +504,24 @@ def handle_request_lines(lines: List[str], service: PredictionService,
             queued_at=queued_ats[i])))
     flush()
     return responses, shutdown
+
+
+def encode_responses(responses: Iterable[Dict[str, Any]]) -> str:
+    """Response dicts → their JSONL wire text, one line each.
+
+    Empty dicts (blank input lines, lines after a shutdown) produce no
+    line.  Both transports write a whole run of replies with one call
+    on this text, so a batch leaves in one write, not one per reply.
+    """
+    return "".join(json.dumps(response) + "\n"
+                   for response in responses if response)
+
+
+def _write_text(stream, text: str) -> None:
+    """One write and one flush for a run of encoded replies."""
+    if text:
+        stream.write(text)
+        stream.flush()
 
 
 def split_envelope(payload: Any
@@ -553,8 +570,7 @@ def serve_stdio(stack: ServingStack, stdin=None, stdout=None, *,
                 stack.poll_inline()
                 response, shutdown = handle_request_line(line, stack.service,
                                                          queued_at=queued_at)
-                if response:
-                    print(json.dumps(response), file=stdout, flush=True)
+                _write_text(stdout, encode_responses([response]))
                 if shutdown:
                     break
         else:
@@ -609,9 +625,7 @@ def _serve_stdio_batched(stack: ServingStack, stdin, stdout, *,
         queued = [queued_at for _, queued_at in items]
         responses, shutdown = handle_request_lines(lines, stack.service,
                                                    queued_ats=queued)
-        for response in responses:
-            if response:
-                print(json.dumps(response), file=stdout, flush=True)
+        _write_text(stdout, encode_responses(responses))
         if shutdown:
             return
 
@@ -693,8 +707,7 @@ class SocketServer:
                     response = {"status": "error",
                                 "error": {"code": "internal",
                                           "message": str(exc)}}
-                if response:
-                    write(response)
+                write(response)
             finally:
                 self._pending_dec()
 
@@ -703,7 +716,8 @@ class SocketServer:
 
         Probes never reach the queue (readers answer them directly), so
         every drained entry is a scoring line; responses go back through
-        each entry's own connection writer in batch order.
+        each entry's own connection writer in batch order, all of one
+        connection's replies in a single write.
         """
         batcher = MicroBatcher(self.queue, max_batch_size=self.batch_size,
                                max_wait_ms=self.batch_wait_ms)
@@ -723,29 +737,45 @@ class SocketServer:
                     responses = [{"status": "error",
                                   "error": {"code": "internal",
                                             "message": str(exc)}}] * len(items)
+                # One write per connection per batch, in batch order:
+                # each connection's writer is its group key.
+                groups: Dict[Callable[..., None], List[Dict[str, Any]]] = {}
                 for (write, _l, _rid, _q), response in zip(items, responses):
-                    if response:
-                        write(response)
+                    groups.setdefault(write, []).append(response)
+                for write, group in groups.items():
+                    write(*group)
             finally:
                 self._pending_dec(len(items))
 
     # -- connection plumbing --------------------------------------------
     def _handle_connection(self, conn: socket.socket) -> None:
+        # Replies leave as soon as they are written: without NODELAY,
+        # Nagle holds a burst's later replies until the client ACKs the
+        # first, and a waiting client ACKs only on its delayed-ACK timer.
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         wlock = threading.Lock()
-        rfile = conn.makefile("r", encoding="utf-8")
-        wfile = conn.makefile("w", encoding="utf-8")
+        rfile = conn.makefile("rb")
 
-        def write(response: Dict[str, Any]) -> None:
+        def write(*responses: Dict[str, Any]) -> None:
+            data = encode_responses(responses).encode("utf-8")
+            if not data:
+                return
             try:
                 with wlock:
-                    wfile.write(json.dumps(response) + "\n")
-                    wfile.flush()
-            except (OSError, ValueError):
+                    conn.sendall(data)
+            except OSError:
                 pass  # client went away; nothing to answer
 
         try:
-            for line in rfile:
-                stripped = line.strip()
+            for raw in rfile:
+                try:
+                    stripped = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    # One bad line gets a typed answer; the connection
+                    # and the lines around it carry on.
+                    write(invalid_line_response(
+                        f"line is not UTF-8: {exc}"))
+                    continue
                 if not stripped:
                     continue
                 payload = _safe_json(stripped)
@@ -753,8 +783,7 @@ class SocketServer:
                     # Probes bypass the queue: they must answer under load.
                     response, shutdown = handle_request_line(
                         stripped, self.service)
-                    if response:
-                        write(response)
+                    write(response)
                     if shutdown:
                         self._stop.set()
                         self.queue.close()
@@ -783,7 +812,7 @@ class SocketServer:
         except (OSError, ValueError):
             pass
         finally:
-            for handle in (rfile, wfile, conn):
+            for handle in (rfile, conn):
                 try:
                     handle.close()
                 except OSError:

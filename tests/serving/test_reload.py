@@ -211,6 +211,15 @@ class TestConcurrentSwap:
 
     def test_batches_never_mix_model_versions(self, schema, reload_stack,
                                               swapper):
+        """Swaps forced at two points, by rendezvous rather than luck.
+
+        Even batches: the churner swaps *between* batches, so the next
+        batch must see the new version.  Odd batches: the scorer's
+        first row validation (after the batch took its model snapshot)
+        hands over to the churner and waits until the swap has landed,
+        so a swap races that batch in flight and the batch must still
+        answer from the snapshot alone.
+        """
         import threading
 
         from repro.serving import BatchRequest
@@ -220,32 +229,68 @@ class TestConcurrentSwap:
                                            "field_1": i % 3,
                                            "field_2": i % 5})
                     for i in range(8)]
+        rounds = 50
+        swap_wanted = threading.Event()
+        swap_landed = threading.Event()
         stop = threading.Event()
         swap_errors = []
+        scorer = threading.current_thread()
+        race_next_batch = threading.Event()
+
+        def rendezvous():
+            """Ask the churner for one swap; block until it promoted."""
+            swap_wanted.set()
+            assert swap_landed.wait(timeout=30.0), "churner never swapped"
+            swap_landed.clear()
 
         def churn():
-            while not stop.is_set():
+            while swap_wanted.wait(timeout=30.0) and not stop.is_set():
+                swap_wanted.clear()
                 try:
                     swapper.write_valid(LogisticRegression(
                         schema.cardinalities,
                         rng=np.random.default_rng(77)))
-                    reloader.poll_once()
+                    assert reloader.poll_once() is True
                 except Exception as exc:  # noqa: BLE001 — fail the test
                     swap_errors.append(exc)
                     return
+                finally:
+                    swap_landed.set()
 
+        original_validate = service.validator.validate
+
+        def validate_then_maybe_swap(features):
+            # Runs after predict_batch snapshotted (model, version).
+            if (threading.current_thread() is scorer
+                    and race_next_batch.is_set()):
+                race_next_batch.clear()
+                rendezvous()
+            return original_validate(features)
+
+        service.validator.validate = validate_then_maybe_swap
         churner = threading.Thread(target=churn)
         churner.start()
         try:
             versions_seen = set()
-            for _ in range(50):
+            for i in range(rounds):
+                before = service.model_version
+                if i % 2 == 1:
+                    race_next_batch.set()
                 responses = service.predict_batch(requests)
                 batch_versions = {r.model_version for r in responses
                                   if r.status == "ok"}
                 assert len(batch_versions) <= 1  # one snapshot per batch
                 versions_seen |= batch_versions
+                # The batch answered from its snapshot, even when a swap
+                # landed while it was in flight.
+                assert batch_versions == {before}
+                assert not race_next_batch.is_set()
+                if i % 2 == 0:
+                    rendezvous()  # swap between this batch and the next
+                assert service.model_version != before
         finally:
             stop.set()
+            swap_wanted.set()
             churner.join(timeout=30.0)
         assert not swap_errors
         # The race was real: scoring overlapped more than one version.
