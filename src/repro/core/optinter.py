@@ -26,7 +26,7 @@ import numpy as np
 from ..data.dataset import Batch
 from ..nn.layers import MLP
 from ..nn.module import Module, Parameter
-from ..nn.tensor import Tensor, concatenate
+from ..nn.tensor import Tensor, concatenate, index_select
 from ..models.base import (
     CrossEmbedding,
     CTRModel,
@@ -139,8 +139,10 @@ class OptInterModel(CTRModel):
         """Factorized candidate e^f per pair (Eq. 14 and its variants)."""
         idx_i = self._idx_i[np.asarray(pair_subset, dtype=np.int64)]
         idx_j = self._idx_j[np.asarray(pair_subset, dtype=np.int64)]
-        e_i = emb[:, idx_i, :]
-        e_j = emb[:, idx_j, :]
+        # ``index_select`` (np.take) returns C order with no extra copy,
+        # and its backward is one scatter-add over field positions.
+        e_i = index_select(emb, idx_i, axis=1)
+        e_j = index_select(emb, idx_j, axis=1)
         if self.factorization == "add":
             return e_i + e_j
         product = e_i * e_j

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .sparse import SparseGrad
+from .sparse import SparseGrad, scatter_add
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -96,6 +96,16 @@ def _as_array(value: ArrayLike, dtype=np.float64) -> np.ndarray:
             return value.astype(dtype)
         return value
     return np.asarray(value, dtype=dtype)
+
+
+def _positions(data: np.ndarray) -> np.ndarray:
+    """Each element's flat position in ``data``, laid out like ``data``.
+
+    Indexing the result exactly as ``data`` was indexed yields the
+    :func:`~repro.nn.sparse.scatter_add` bins of that gather's backward,
+    whatever the index kind (basic, fancy, negative, boolean or mixed).
+    """
+    return np.arange(data.size).reshape(data.shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -438,9 +448,8 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
+                self._accumulate(scatter_add(
+                    self.data.shape, _positions(self.data)[index], grad))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -578,7 +587,7 @@ def embedding_lookup(table: Tensor, indices: np.ndarray,
     holding one coalesced value row per touched table row, so gradient
     memory and downstream optimizer cost are O(batch) instead of
     O(vocab).  ``dense_grad=True`` restores the historical behaviour —
-    a full-table ``np.add.at`` scatter — and is also used automatically
+    a full-table scatter-add — and is also used automatically
     when ``table`` is not a graph leaf.  Both paths accumulate duplicate
     indices identically (bit-for-bit; see ``tests/nn/test_sparse_dense_equivalence.py``).
     """
@@ -593,14 +602,17 @@ def embedding_lookup(table: Tensor, indices: np.ndarray,
     def backward(grad: np.ndarray) -> None:
         if not table.requires_grad:
             return
-        rows = indices.reshape(-1)
-        vals = grad.reshape(-1, table.data.shape[-1])
         if sparse:
-            table._accumulate(SparseGrad.from_rows(table.data.shape, rows, vals))
+            table._accumulate(
+                SparseGrad.from_rows(table.data.shape, indices, grad))
         else:
-            full = np.zeros_like(table.data)
-            np.add.at(full, rows, vals)
-            table._accumulate(full)
+            # Row bins, not ``_positions(table.data)``: that would cost an
+            # index array the size of the whole table.  ``%`` wraps
+            # negative ids the way the gather did.
+            vocab, dim = table.data.shape
+            rows = indices % vocab
+            table._accumulate(scatter_add(
+                table.data.shape, rows[..., None] * dim + np.arange(dim), grad))
 
     return Tensor._make(out_data, (table,), backward)
 
@@ -630,10 +642,8 @@ def index_select(x: Tensor, indices: np.ndarray, axis: int = 0,
         if sparse:
             x._accumulate(SparseGrad.from_rows(x.data.shape, indices, grad))
             return
-        full = np.zeros_like(x.data)
-        np.add.at(np.moveaxis(full, axis, 0), indices,
-                  np.moveaxis(grad, axis, 0))
-        x._accumulate(full)
+        bins = np.take(_positions(x.data), indices, axis=axis)
+        x._accumulate(scatter_add(x.data.shape, bins, grad))
 
     return Tensor._make(out_data, (x,), backward)
 

@@ -56,7 +56,8 @@ _TENSOR_METHODS: Dict[str, str] = {
 
 #: free functions in repro.nn.tensor that construct ops directly.
 _FREE_FUNCTIONS: Tuple[str, ...] = ("concatenate", "stack",
-                                    "embedding_lookup", "where")
+                                    "embedding_lookup", "index_select",
+                                    "where")
 
 
 @dataclass

@@ -73,9 +73,11 @@ class TestOpAttribution:
             tensor_module.concatenate([a, b], axis=1)
             tensor_module.stack([a, b])
             tensor_module.embedding_lookup(table, np.array([1, 2]))
+            tensor_module.index_select(a, np.array([1, 0]), axis=1)
             tensor_module.where(np.array([True, False]),
                                 Tensor(np.ones(2)), Tensor(np.zeros(2)))
-        for name in ("concatenate", "stack", "embedding_lookup", "where"):
+        for name in ("concatenate", "stack", "embedding_lookup",
+                     "index_select", "where"):
             assert prof.op_stats[name].calls == 1, name
 
     def test_free_functions_recorded_through_import_sites(self):
