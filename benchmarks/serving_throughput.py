@@ -2,11 +2,12 @@
 
 Drives the full serving path over a small LR model at batch sizes 1, 8
 and 32 on one synthetic workload and reports requests/s plus p50/p99
-response latency (from each response's own ``latency_ms``).  Batch 1
-uses the classic sequential ``predict`` path — exactly what serving did
-before micro-batching — so ``speedup_32`` is the honest "what did
-coalescing buy" number.  Scores are bit-for-bit identical across batch
-sizes (the differential suite pins that); this benchmark pins the *win*.
+response latency (from each response's own ``latency_ms``).  Every size
+goes through ``PredictionService.predict_batch``; batch 1 scores one
+request per call, which is what ``--batch-size 1`` serving does, so
+``speedup_32`` is the honest "what did coalescing buy" number.  Scores
+are bit-for-bit identical across batch sizes (the differential suite
+pins that); this benchmark pins the *win*.
 
 The headline metric is *relative* (requests/s at batch 32 over batch 1),
 stable across machines and safe to gate CI on; absolute rates are
@@ -60,16 +61,11 @@ def _run_pass(service: PredictionService, requests: List[Dict],
     """One full pass; returns elapsed seconds + per-response latencies."""
     latencies_ms: List[float] = []
     start = time.perf_counter()
-    if batch_size == 1:
-        for features in requests:
-            latencies_ms.append(service.predict(features).latency_ms)
-    else:
-        for offset in range(0, len(requests), batch_size):
-            chunk = [BatchRequest(features)
-                     for features in requests[offset:offset + batch_size]]
-            latencies_ms.extend(
-                response.latency_ms
-                for response in service.predict_batch(chunk))
+    for offset in range(0, len(requests), batch_size):
+        chunk = [BatchRequest(features)
+                 for features in requests[offset:offset + batch_size]]
+        latencies_ms.extend(response.latency_ms
+                            for response in service.predict_batch(chunk))
     return {"elapsed_s": time.perf_counter() - start,
             "latencies_ms": latencies_ms}
 

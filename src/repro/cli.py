@@ -243,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "exceeds this")
     serve.add_argument("--batch-size", type=int, default=1,
                        help="micro-batching: max requests coalesced into one "
-                            "scoring call (1 = classic single-request path; "
-                            "scores are bit-for-bit identical either way)")
+                            "scoring call (1 = each request scored alone; "
+                            "scores are bit-for-bit identical at any size)")
     serve.add_argument("--batch-wait-ms", type=float, default=0.0,
                        help="micro-batching: how long the first request in a "
                             "forming batch may wait for company (0 only "
@@ -267,9 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pool mode: quarantine/canary never drop the "
                             "healthy replica count below this floor")
     serve.add_argument("--hedge-ms", default=None, metavar="MS|auto",
-                       help="pool mode: hedge a silent request to a second "
-                            "replica after this many ms ('auto' tracks the "
-                            "p99 dispatch latency; 0/unset disables hedging)")
+                       help="pool mode: hedge a batch with no genuine "
+                            "answer to a second replica after this many ms, "
+                            "at any --batch-size ('auto' tracks the p99 "
+                            "dispatch latency; 0/unset disables hedging)")
     serve.add_argument("--canary-mirror", type=float, default=None,
                        metavar="FRACTION",
                        help="pool mode: fraction of live traffic shadow-"
@@ -705,11 +706,12 @@ def _cmd_predict(args) -> int:
     """Batch scoring: JSONL requests in, JSONL responses out.
 
     Shares the full serving stack (validation, degradation ladder,
-    deadlines) with ``repro serve`` — a file of requests gets exactly
-    the answers the online path would give, one per input line.
+    deadlines) and the protocol handler with ``repro serve`` — a file of
+    requests gets exactly the answers the online path would give, one
+    per non-blank input line, in input order.  As in ``serve``, lines
+    after a ``{"op": "shutdown"}`` go unanswered.
     """
-    import json
-    from .serving.server import handle_request_line
+    from .serving.server import encode_responses, handle_request_lines
 
     _check_resume(args)
     bus = _open_bus(args)
@@ -721,11 +723,12 @@ def _cmd_predict(args) -> int:
         sink = (open(args.out, "w") if args.out else sys.stdout)
         try:
             for line in source:
-                if not line.strip():
-                    continue
-                response, _shutdown = handle_request_line(line, stack.service)
-                if response:
-                    print(json.dumps(response), file=sink, flush=True)
+                responses, shutdown = handle_request_lines([line],
+                                                           stack.service)
+                sink.write(encode_responses(responses))
+                sink.flush()
+                if shutdown:
+                    break
         finally:
             if args.input:
                 source.close()

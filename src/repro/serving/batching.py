@@ -1,9 +1,11 @@
 """Micro-batching: drain the request queue into coalesced scoring batches.
 
-Single-request serving pays the full Python/graph dispatch cost per
-request even though every model in the repo is vectorized over a
-:class:`~repro.data.dataset.Batch`.  The :class:`MicroBatcher` sits
-between a :class:`~repro.serving.queue.BoundedRequestQueue` and
+Every model in the repo is vectorized over a
+:class:`~repro.data.dataset.Batch`, so scoring requests one at a time
+pays the full Python/graph dispatch cost per request.  The
+:class:`MicroBatcher` is the only way the transports take work off
+their queue: it sits between a
+:class:`~repro.serving.queue.BoundedRequestQueue` and
 :meth:`~repro.serving.service.PredictionService.predict_batch`, pulling
 requests off the queue and coalescing them under a two-knob policy:
 
@@ -18,10 +20,10 @@ requests off the queue and coalescing them under a two-knob policy:
     by the service).  ``0`` coalesces only what is already queued —
     zero added latency.
 
-``max_batch_size=1`` reproduces single-request serving exactly (and the
-service's scoring is bit-for-bit identical either way — see
-``docs/serving.md``).  The clock is injectable so the flush policy is
-testable without sleeping.
+``max_batch_size=1`` (the transports' default) hands over each request
+as a batch of one, without waiting; the service's scoring is
+bit-for-bit identical at every size (see ``docs/serving.md``).  The
+clock is injectable so the flush policy is testable without sleeping.
 """
 
 from __future__ import annotations

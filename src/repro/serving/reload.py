@@ -65,20 +65,22 @@ class GoldenSet:
     def __len__(self) -> int:
         return len(self.requests)
 
-    def _validated_row(self, service: PredictionService,
-                       i: int) -> np.ndarray:
-        """Validate request ``i`` once and cache the row.
+    def _score(self, service: PredictionService, model: CTRModel,
+               i: int) -> float:
+        """Request ``i`` scored alone on ``model``.
 
-        Golden requests are fixed for the set's lifetime, so
-        re-validating them on every reload poll is pure overhead; the
-        cached row also rides ``_build_batch``'s ``pre_validated`` fast
-        path, skipping the cross transform's id-range re-scan.
+        Golden requests are fixed for the set's lifetime, so the row is
+        validated once and cached: re-validating it on every reload poll
+        is pure overhead, and the cached row also rides
+        ``_build_batch_rows``'s ``pre_validated`` fast path, skipping
+        the cross transform's id-range re-scan.
         """
         row = self._row_cache.get(i)
         if row is None:
-            row = service.validator.validate(self.requests[i])
+            row = service.validator.validate(self.requests[i]).reshape(1, -1)
             self._row_cache[i] = row
-        return row
+        batch = service._build_batch_rows(row, model, pre_validated=True)
+        return float(model.predict_proba(batch)[0])
 
     def check(self, service: PredictionService,
               model: CTRModel) -> Optional[str]:
@@ -86,9 +88,7 @@ class GoldenSet:
         reason, or ``None`` when the model passes."""
         for i in range(len(self.requests)):
             try:
-                row = self._validated_row(service, i)
-                batch = service._build_batch(row, model, pre_validated=True)
-                probability = float(model.predict_proba(batch)[0])
+                probability = self._score(service, model, i)
             except Exception as exc:  # noqa: BLE001 — any failure vetoes
                 return f"golden request {i} failed to score: {exc}"
             if not np.isfinite(probability) or not 0.0 <= probability <= 1.0:
@@ -111,9 +111,7 @@ class GoldenSet:
         expected: List[Optional[float]] = []
         for i in range(len(golden.requests)):
             try:
-                row = golden._validated_row(service, i)
-                batch = service._build_batch(row, model, pre_validated=True)
-                expected.append(float(model.predict_proba(batch)[0]))
+                expected.append(golden._score(service, model, i))
             except Exception:
                 expected.append(None)
         golden.expected = expected

@@ -4,7 +4,7 @@ One :class:`~repro.serving.service.PredictionService` is a single point
 of failure: a wedged model call, a poisoned checkpoint or one slow
 scoring degrades *all* traffic.  The :class:`ReplicaPool` runs N
 replicas — each with its own model instance, circuit breaker, metrics
-registry and drift monitor — behind a router with three defences:
+registry and drift monitor — behind a router with four defences:
 
 * **least-inflight dispatch** — every request goes to the healthy
   replica with the fewest scorings in flight (ties break to the lowest
@@ -18,18 +18,22 @@ registry and drift monitor — behind a router with three defences:
   the floor would be violated the replica stays in rotation (its own
   breaker/ladder still guarantees typed answers) rather than leaving
   the pool empty;
+* **dispatch failover** — a primary that raises, or stays silent past the
+  staleness window, is replaced by a second healthy replica inside the
+  same dispatch budget;
 * **hedged requests** — when the primary has not produced a genuine
   answer after the hedge delay (a fixed ``hedge_ms`` or the
   EWMA-smoothed p99 of pool dispatch latency in ``auto`` mode), the
-  request is re-dispatched to a second healthy replica and the first
+  batch is re-dispatched to a second healthy replica and the first
   genuine answer wins.  The loser is abandoned (its thread finishes and
   the result is discarded) and counted; hedging is suppressed under
   overload so it cannot amplify a saturated pool.
 
-A pool of one replica is a pure pass-through: ``predict`` /
-``predict_batch`` delegate inline to the single service, so responses
-are byte-for-byte what the single-instance path produces (pinned by the
-HA differential suite).
+Every dispatch is a batch: ``predict`` is ``predict_batch`` on a batch
+of one, so failover and hedging apply at every ``--batch-size``.  A
+pool of one replica is a pure pass-through to the single service, so
+responses are byte-for-byte what the single-instance path produces
+(pinned by the HA differential suite).
 
 The pool duck-types the slice of :class:`PredictionService` the
 transports and protocol handlers use (``predict``, ``predict_batch``,
@@ -171,12 +175,13 @@ class _ResultBox:
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
-        self.entries: List[tuple] = []   # (label, response|None, replica)
+        self.entries: List[tuple] = []   # (label, responses|None, replica)
 
-    def offer(self, label: str, response: Optional[PredictionResponse],
+    def offer(self, label: str,
+              responses: Optional[List[PredictionResponse]],
               replica: Replica) -> None:
         with self._cond:
-            self.entries.append((label, response, replica))
+            self.entries.append((label, responses, replica))
             self._cond.notify_all()
 
     def wait(self, predicate: Callable[[List[tuple]], bool],
@@ -193,9 +198,13 @@ class _ResultBox:
             return list(self.entries)
 
 
+def _genuine(responses: List[PredictionResponse]) -> bool:
+    return all(r.status in _GENUINE for r in responses)
+
+
 def _first_genuine(entries: List[tuple]) -> Optional[tuple]:
     for entry in entries:
-        if entry[1] is not None and entry[1].status in _GENUINE:
+        if entry[1] is not None and _genuine(entry[1]):
             return entry
     return None
 
@@ -218,15 +227,17 @@ class ReplicaPool:
         before quarantine.
     stale_after_s:
         A replica whose oldest in-flight scoring is older than this (and
-        whose heartbeat is equally old) is considered wedged.
+        whose heartbeat is equally old) is considered wedged.  With
+        hedging off, a primary silent this long fails over.
     hedge_ms:
         ``None`` or ``0`` disables hedging; a positive number is a fixed
         hedge delay; ``"auto"`` tracks the EWMA-smoothed p99 of pool
         dispatch latency.
     dispatch_timeout_s:
-        Upper bound on waiting for *any* replica answer when the request
-        carries no deadline; past it the pool answers a typed degraded
-        ``replica_timeout`` response from the prior.
+        Upper bound on one whole dispatch when no request in the batch
+        carries a deadline (else the earliest deadline bounds it); past
+        it the pool answers typed degraded ``replica_timeout`` responses
+        from the prior.
     prior_ctr:
         The calibrated constant used for pool-level degraded answers.
     """
@@ -388,15 +399,20 @@ class ReplicaPool:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _spawn(self, replica: Replica, token: int, label: str,
-               box: _ResultBox, features: Any,
-               deadline_s: Optional[float], request_id: Optional[str],
-               queued_at: Optional[float]) -> None:
+    def _launch(self, label: str, box: _ResultBox,
+                reqs: List[BatchRequest],
+                exclude: Sequence[int] = ()) -> Optional[Replica]:
+        """Score ``reqs`` on the least-loaded healthy replica outside
+        ``exclude``, on its own thread; the outcome lands in ``box`` as
+        ``(label, responses or None, replica)``."""
+        picked = self._pick(exclude)
+        if picked is None:
+            return None
+        replica, token = picked
+
         def _run() -> None:
             try:
-                response = replica.service.predict(
-                    features, deadline_s=deadline_s,
-                    request_id=request_id, queued_at=queued_at)
+                responses = replica.service.predict_batch(reqs)
             except Exception as exc:  # noqa: BLE001 — a replica must not
                 # take the router down with it
                 replica.end(token, ok=False)
@@ -405,16 +421,11 @@ class ReplicaPool:
                 box.offer(label, None, replica)
                 return
             replica.end(token, ok=True)
-            box.offer(label, response, replica)
-            if (label == "primary" and self._mirror is not None
-                    and response.status in (STATUS_OK, STATUS_DEGRADED)):
-                try:
-                    self._mirror(features, response)
-                except Exception:
-                    self.metrics.counter("pool.mirror_errors").inc()
+            box.offer(label, responses, replica)
 
         threading.Thread(target=_run, daemon=True,
                          name=f"dispatch-{replica.name}").start()
+        return replica
 
     def _pool_degraded(self, reason: str, request_id: Optional[str],
                        started: float) -> PredictionResponse:
@@ -434,64 +445,80 @@ class ReplicaPool:
                 deadline_s: Optional[float] = None,
                 request_id: Optional[str] = None,
                 queued_at: Optional[float] = None) -> PredictionResponse:
-        """Route one request; same per-request guarantees as the service.
+        """Route one request: :meth:`predict_batch` on a batch of one."""
+        return self.predict_batch([BatchRequest(
+            features, deadline_s=deadline_s, request_id=request_id,
+            queued_at=queued_at)])[0]
 
-        A pool of one replica delegates inline — byte-identical to the
-        single-instance path by construction.
+    def predict_batch(self, requests: Sequence[Union[BatchRequest, Any]]
+                      ) -> List[PredictionResponse]:
+        """Route a batch to one replica, with the per-request guarantees
+        of :meth:`PredictionService.predict_batch`.
+
+        The whole batch goes to one replica (a single model/version
+        snapshot, so a batch never mixes versions); a second replica
+        answers it only when the primary fails over or is hedged.  The
+        caller's :class:`BatchRequest` objects reach the replica as they
+        are.  A pool of one replica delegates inline — byte-identical to
+        the single-instance path by construction.
         """
-        if len(self._replicas) == 1:
-            return self._replicas[0].service.predict(
-                features, deadline_s=deadline_s, request_id=request_id,
-                queued_at=queued_at)
+        reqs = [r if isinstance(r, BatchRequest) else BatchRequest(r)
+                for r in requests]
+        if len(self._replicas) == 1 or not reqs:
+            return self._replicas[0].service.predict_batch(reqs)
         started = self._clock()
         with self.tracer.span("serve.dispatch",
-                              request_id=request_id) as span:
-            response, replica, hedged = self._dispatch(
-                features, deadline_s, request_id, queued_at, started)
+                              batch_size=len(reqs)) as span:
+            responses, replica, hedged = self._dispatch(reqs, started)
             span.set_attr("replica", replica.name if replica else None)
             span.set_attr("hedged", hedged)
-            span.set_attr("status", response.status)
-        return response
+        return responses
 
-    def _dispatch(self, features: Any, deadline_s: Optional[float],
-                  request_id: Optional[str], queued_at: Optional[float],
-                  started: float):
+    def _dispatch(self, reqs: List[BatchRequest], started: float):
+        """Primary, then at most one second replica, inside one budget.
+
+        The budget is the earliest request deadline, else
+        ``dispatch_timeout_s``.  The primary's answer is *genuine* when
+        every reply is ``ok`` or ``invalid``.  A second replica is
+        launched when the primary raises, or when it has given no
+        genuine answer by the hedge delay — with hedging off, by the
+        staleness window that marks a replica wedged.  A non-genuine
+        answer is re-tried only while hedging is on.  The first genuine
+        answer wins.
+        """
         self.metrics.counter("pool.dispatches").inc()
-        budget = deadline_s if deadline_s is not None \
-            else self.dispatch_timeout_s
-        picked = self._pick()
-        if picked is None:
-            self.metrics.counter("pool.no_healthy").inc()
-            return (self._pool_degraded("no_healthy_replica", request_id,
-                                        started), None, False)
-        primary, token = picked
+        deadlines = [r.deadline_s for r in reqs if r.deadline_s is not None]
+        budget = min(deadlines) if deadlines else self.dispatch_timeout_s
         box = _ResultBox()
-        self._spawn(primary, token, "primary", box, features, deadline_s,
-                    request_id, queued_at)
-        spawned = 1
-        hedged = False
+        primary = self._launch("primary", box, reqs)
+        if primary is None:
+            self.metrics.counter("pool.no_healthy").inc()
+            return ([self._pool_degraded("no_healthy_replica", r.request_id,
+                                         started) for r in reqs],
+                    None, False)
+        launched = 1
         hedge_delay = self._hedge_delay_s()
 
         def _settled(entries: List[tuple]) -> bool:
             return (_first_genuine(entries) is not None
-                    or len(entries) >= spawned)
+                    or len(entries) >= launched)
 
-        if hedge_delay is not None:
-            entries = box.wait(_settled, min(hedge_delay, budget))
-            winner = _first_genuine(entries)
-            if winner is None and budget > self._clock() - started:
-                second = self._pick(exclude=(primary.id,))
-                if second is not None:
-                    # Degraded primary → failover; silence → hedge.
-                    kind = ("failovers" if len(entries) >= spawned
-                            else "hedges")
-                    self.metrics.counter(f"pool.{kind}").inc()
-                    hedge_replica_, hedge_token = second
-                    self._spawn(hedge_replica_, hedge_token, "hedge", box,
-                                features, deadline_s, request_id, queued_at)
-                    spawned = 2
-                    hedged = True
-
+        first_wait = (self.stale_after_s if hedge_delay is None
+                      else hedge_delay)
+        entries = box.wait(_settled, min(first_wait, budget))
+        hedged = False
+        if (_first_genuine(entries) is None
+                and budget > self._clock() - started
+                and (hedge_delay is not None or not entries
+                     or entries[0][1] is None)):
+            if self._launch("hedge", box, reqs,
+                            exclude=(primary.id,)) is not None:
+                # Silence under hedging → hedge; otherwise → failover.
+                kind = ("hedges" if hedge_delay is not None and not entries
+                        else "failovers")
+                self.metrics.counter(f"pool.{kind}").inc()
+                launched = 2
+                hedged = True
         remaining = budget - (self._clock() - started)
         entries = box.wait(_settled, max(remaining, 0.0))
         winner = _first_genuine(entries)
@@ -509,83 +536,28 @@ class ReplicaPool:
             # these plus in-flight staleness).
             self.metrics.counter("pool.replica_timeouts").inc()
             answered = {rep.id for _, _, rep in entries}
-            for rep in ([primary] if spawned == 1 else
+            for rep in ([primary] if launched == 1 else
                         [r for r in self._replicas
                          if r.id not in answered and r.inflight > 0]):
                 rep.note_failure()
-            return (self._pool_degraded("replica_timeout", request_id,
-                                        started), None, hedged)
-        label, response, replica = winner
+            return ([self._pool_degraded("replica_timeout", r.request_id,
+                                         started) for r in reqs],
+                    None, hedged)
+        label, responses, replica = winner
         if hedged:
             self.metrics.counter("pool.hedge_wins" if label == "hedge"
                                  else "pool.hedge_wasted").inc()
-        if response.status in _GENUINE:
+        if _genuine(responses):
             self._observe_latency(self._clock() - started)
-        self.metrics.counter("pool.requests").inc()
-        return response, replica, hedged
-
-    def predict_batch(self, requests: Sequence[Union[BatchRequest, Any]]
-                      ) -> List[PredictionResponse]:
-        """Route a coalesced batch to one replica (single model/version
-        snapshot, so a batch can never mix versions), with one failover
-        retry on another healthy replica before degrading."""
-        if len(self._replicas) == 1:
-            return self._replicas[0].service.predict_batch(requests)
-        started = self._clock()
-        reqs = [r if isinstance(r, BatchRequest) else BatchRequest(r)
-                for r in requests]
-        if not reqs:
-            return []
-        tried: List[int] = []
-        with self.tracer.span("serve.dispatch",
-                              batch_size=len(reqs)) as span:
-            for attempt in range(2):
-                picked = self._pick(exclude=tried)
-                if picked is None:
-                    break
-                replica, batch_token = picked
-                tried.append(replica.id)
-                box = _ResultBox()
-
-                def _run(replica=replica, token=batch_token) -> None:
+        self.metrics.counter("pool.requests").inc(len(reqs))
+        if self._mirror is not None:
+            for req, response in zip(reqs, responses):
+                if response.status in (STATUS_OK, STATUS_DEGRADED):
                     try:
-                        out = replica.service.predict_batch(reqs)
-                    except Exception as exc:  # noqa: BLE001
-                        replica.end(token, ok=False)
-                        self.metrics.counter("pool.replica_errors").inc()
-                        self._emit_replica(replica, "dispatch_error",
-                                           error=str(exc))
-                        box.offer("batch", None, replica)
-                        return
-                    replica.end(token, ok=True)
-                    box.offer("batch", out, replica)
-
-                threading.Thread(target=_run, daemon=True,
-                                 name=f"dispatch-{replica.name}").start()
-                entries = box.wait(lambda es: len(es) >= 1,
-                                   self.dispatch_timeout_s)
-                if entries and entries[0][1] is not None:
-                    responses = entries[0][1]
-                    span.set_attr("replica", replica.name)
-                    span.set_attr("attempt", attempt)
-                    self._observe_latency(self._clock() - started)
-                    self.metrics.counter("pool.requests").inc(len(reqs))
-                    if self._mirror is not None:
-                        for req, resp in zip(reqs, responses):
-                            if resp.status in (STATUS_OK, STATUS_DEGRADED):
-                                try:
-                                    self._mirror(req.features, resp)
-                                except Exception:
-                                    self.metrics.counter(
-                                        "pool.mirror_errors").inc()
-                    return responses
-                replica.note_failure()
-                if not entries:
-                    self.metrics.counter("pool.replica_timeouts").inc()
-                self.metrics.counter("pool.failovers").inc()
-            span.set_attr("replica", None)
-        return [self._pool_degraded("replica_timeout", r.request_id, started)
-                for r in reqs]
+                        self._mirror(req.features, response)
+                    except Exception:
+                        self.metrics.counter("pool.mirror_errors").inc()
+        return responses, replica, hedged
 
     def shed_response(self, error: OverloadedError,
                       request_id: Optional[str] = None) -> PredictionResponse:
@@ -598,8 +570,9 @@ class ReplicaPool:
     def set_mirror(self, hook: Optional[
             Callable[[Any, PredictionResponse], None]]) -> None:
         """Install/remove the shadow-traffic hook.  The hook must be
-        cheap (sample + enqueue); it runs on dispatch threads *after*
-        the user answer is already delivered."""
+        cheap (sample + enqueue); it runs on the caller's thread, once
+        per ``ok`` or ``degraded`` answer, after the winning replica's
+        answer is chosen."""
         self._mirror = hook
 
     # ------------------------------------------------------------------

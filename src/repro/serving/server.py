@@ -5,11 +5,17 @@ One line-oriented protocol serves both transports:
 * **stdio mode** — one JSON request per stdin line, one JSON response
   per stdout line; the simplest thing a sidecar or test can drive.
 * **socket mode** — a threaded TCP server: reader threads parse lines
-  into the bounded priority queue, a worker pool scores them, and
-  responses (tagged with ``request_id``) stream back per connection.
-  Probes (``{"op": "health"}`` / ``{"op": "ready"}``) are answered in
-  the reader thread, *bypassing* the queue — a probe must succeed even
-  when the queue is saturated, that is what probes are for.
+  into the bounded priority queue, a worker pool drains it in
+  micro-batches, and responses (tagged with ``request_id``) stream back
+  per connection.  Probes (``{"op": "health"}`` / ``{"op": "ready"}``)
+  are answered in the reader thread, *bypassing* the queue — a probe
+  must succeed even when the queue is saturated, that is what probes
+  are for.
+
+Both transports score through one path: a :class:`MicroBatcher` hands
+runs of lines to :func:`handle_request_lines`, which makes one
+``predict_batch`` call per run.  ``--batch-size 1`` (the default) is
+that path with batches of one.
 
 Request envelope (all fields except ``features`` optional)::
 
@@ -103,9 +109,8 @@ class ServingStack:
     def poll_inline(self) -> None:
         """Drive background work inline when no threads are running.
 
-        The stdio transport calls this between requests so single-
-        threaded tests stay deterministic (same contract as the old
-        ``reloader.poll_once()`` inline path).
+        The stdio transport calls this before each batch, so tests that
+        start no background threads stay deterministic.
         """
         if self.reloader is not None and self.reloader._thread is None:
             self.reloader.poll_once()
@@ -397,73 +402,61 @@ def invalid_line_response(message: str) -> Dict[str, Any]:
         error={"code": "invalid_request", "message": message}).as_dict()
 
 
+def _answer_op(payload: Dict[str, Any], service: PredictionService
+               ) -> Tuple[Dict[str, Any], bool]:
+    """An op line's ``{"op": ...}`` payload → ``(response, is_shutdown)``."""
+    op = payload["op"]
+    if op == "health":
+        return service.health(), False
+    if op == "ready":
+        return service.readiness(), False
+    if op == "metrics":
+        if payload.get("format") == "prometheus":
+            return {"content_type": CONTENT_TYPE,
+                    "body": render_prometheus(
+                        service.metrics.snapshot())}, False
+        return service.metrics.snapshot(), False
+    if op == "drift":
+        if service.drift is None:
+            return {"drift": "disabled"}, False
+        report = service.drift.evaluate()
+        if report is None:
+            return {"drift": "pending",
+                    "window": service.drift.window}, False
+        return report.as_dict(), False
+    if op == "rollout":
+        state_fn = getattr(service, "_rollout", None)
+        if state_fn is None:
+            return {"rollout": "disabled"}, False
+        return state_fn(), False
+    if op == "shutdown":
+        return {"status": "shutting_down"}, True
+    return invalid_line_response(f"unknown op {op!r}"), False
+
+
 def handle_request_line(line: str, service: PredictionService,
                         queued_at: Optional[float] = None
                         ) -> Tuple[Dict[str, Any], bool]:
-    """One protocol line → ``(response dict, is_shutdown)``.
-
-    Never raises: unparseable JSON and envelope errors become
-    ``invalid`` responses, matching the validator's contract.
-    ``queued_at`` (tracer-clock timestamp of when the transport accepted
-    the line) flows into the request trace as a ``serve.queue`` span.
-    """
-    line = line.strip()
-    if not line:
-        return {}, False
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        return invalid_line_response(f"unparseable JSON: {exc}"), False
-    if isinstance(payload, dict) and "op" in payload:
-        op = payload["op"]
-        if op == "health":
-            return service.health(), False
-        if op == "ready":
-            return service.readiness(), False
-        if op == "metrics":
-            if payload.get("format") == "prometheus":
-                return {"content_type": CONTENT_TYPE,
-                        "body": render_prometheus(
-                            service.metrics.snapshot())}, False
-            return service.metrics.snapshot(), False
-        if op == "drift":
-            report = (None if service.drift is None
-                      else service.drift.evaluate())
-            if service.drift is None:
-                return {"drift": "disabled"}, False
-            if report is None:
-                return {"drift": "pending",
-                        "window": service.drift.window}, False
-            return report.as_dict(), False
-        if op == "rollout":
-            state_fn = getattr(service, "_rollout", None)
-            if state_fn is None:
-                return {"rollout": "disabled"}, False
-            return state_fn(), False
-        if op == "shutdown":
-            return {"status": "shutting_down"}, True
-        return invalid_line_response(f"unknown op {op!r}"), False
-    features, request_id, priority, deadline_s = split_envelope(payload)
-    crash = getattr(service, "_crash", None)
-    if crash is not None:
-        crash()
-    response = service.predict(features, deadline_s=deadline_s,
-                               request_id=request_id, queued_at=queued_at)
-    return response.as_dict(), False
+    """One protocol line → ``(response dict, is_shutdown)``:
+    :func:`handle_request_lines` on a run of one line."""
+    responses, shutdown = handle_request_lines([line], service, [queued_at])
+    return responses[0], shutdown
 
 
 def handle_request_lines(lines: List[str], service: PredictionService,
                          queued_ats: Optional[List[Optional[float]]] = None
                          ) -> Tuple[List[Dict[str, Any]], bool]:
-    """A coalesced run of protocol lines → ``(response dicts, shutdown)``.
+    """A run of protocol lines → ``(response dicts, shutdown)``.
 
-    The batched counterpart of :func:`handle_request_line`: contiguous
-    scoring lines are stacked into one
+    Never raises: unparseable JSON and envelope errors become
+    ``invalid`` responses, matching the validator's contract.
+    Contiguous scoring lines are stacked into one
     :meth:`PredictionService.predict_batch` call; op lines (and
-    unparseable ones) are handled inline, flushing the pending scoring
+    unparseable ones) are answered inline, flushing the pending scoring
     run first so responses keep input order.  One response dict per
     input line (``{}`` for blank lines); lines after a shutdown op are
-    left unanswered, exactly like the sequential loop.
+    left unanswered.  ``queued_ats`` (tracer-clock timestamps of when
+    the transport accepted each line) become ``serve.queue`` spans.
     """
     if queued_ats is None:
         queued_ats = [None] * len(lines)
@@ -494,7 +487,7 @@ def handle_request_lines(lines: List[str], service: PredictionService,
             continue
         if isinstance(payload, dict) and "op" in payload:
             flush()
-            responses[i], shutdown = handle_request_line(stripped, service)
+            responses[i], shutdown = _answer_op(payload, service)
             if shutdown:
                 break
             continue
@@ -515,13 +508,6 @@ def encode_responses(responses: Iterable[Dict[str, Any]]) -> str:
     """
     return "".join(json.dumps(response) + "\n"
                    for response in responses if response)
-
-
-def _write_text(stream, text: str) -> None:
-    """One write and one flush for a run of encoded replies."""
-    if text:
-        stream.write(text)
-        stream.flush()
 
 
 def split_envelope(payload: Any
@@ -551,47 +537,16 @@ def serve_stdio(stack: ServingStack, stdin=None, stdout=None, *,
                 batch_size: int = 1, batch_wait_ms: float = 0.0) -> int:
     """Blocking stdin/stdout JSONL loop.
 
-    ``batch_size=1`` (the default) is the classic sequential loop.  With
-    ``batch_size > 1`` a reader thread feeds a queue drained by a
-    :class:`MicroBatcher`, so pipelined clients get coalesced scoring —
-    responses still come back one per request line, in input order.
+    A reader thread feeds a FIFO queue that a :class:`MicroBatcher`
+    drains into runs of at most ``batch_size`` lines, so pipelined
+    clients get coalesced scoring; responses come back one per request
+    line, in input order.  The queue is deliberately deep and fed at
+    priority 0 only: stdio has no shedding contract — a full queue is
+    pure backpressure (the reader retries, which simply stops consuming
+    stdin), never a drop.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    stack.start_background()
-    print(json.dumps({"status": "ready",
-                      "model": stack.model_name,
-                      "dataset": stack.dataset,
-                      "notes": stack.notes}), file=stdout, flush=True)
-    try:
-        if batch_size <= 1:
-            for line in stdin:
-                queued_at = stack.service.tracer.clock()
-                stack.poll_inline()
-                response, shutdown = handle_request_line(line, stack.service,
-                                                         queued_at=queued_at)
-                _write_text(stdout, encode_responses([response]))
-                if shutdown:
-                    break
-        else:
-            _serve_stdio_batched(stack, stdin, stdout,
-                                 batch_size=batch_size,
-                                 batch_wait_ms=batch_wait_ms)
-    finally:
-        stack.stop_background()
-    return 0
-
-
-def _serve_stdio_batched(stack: ServingStack, stdin, stdout, *,
-                         batch_size: int, batch_wait_ms: float) -> None:
-    """Reader thread → FIFO queue → MicroBatcher → ordered responses.
-
-    The queue is deliberately deep and fed at priority 0 only: stdio has
-    no shedding contract — a full queue is pure backpressure (the reader
-    retries, which simply stops consuming stdin), never a drop.
-    """
-    import time as _time
-
     queue = BoundedRequestQueue(max_depth=max(1024, batch_size * 64))
 
     def _read() -> None:
@@ -601,7 +556,7 @@ def _serve_stdio_batched(stack: ServingStack, stdin, stdout, *,
                     continue
                 item = (line, stack.service.tracer.clock())
                 while not queue.put(item):
-                    _time.sleep(0.005)
+                    _time_module.sleep(0.005)
         except (OSError, ValueError, RuntimeError):
             pass  # closed pipe or closed queue — drain what we have
         finally:
@@ -610,24 +565,33 @@ def _serve_stdio_batched(stack: ServingStack, stdin, stdout, *,
             except RuntimeError:
                 pass
 
+    stack.start_background()
+    print(json.dumps({"status": "ready",
+                      "model": stack.model_name,
+                      "dataset": stack.dataset,
+                      "notes": stack.notes}), file=stdout, flush=True)
     reader = threading.Thread(target=_read, name="stdio-reader", daemon=True)
     reader.start()
     batcher = MicroBatcher(queue, max_batch_size=batch_size,
                            max_wait_ms=batch_wait_ms)
-    while True:
-        items = batcher.next_batch(timeout=0.2)
-        if items is None:
-            if not reader.is_alive() and len(queue) == 0:
-                return
-            continue
-        stack.poll_inline()
-        lines = [line for line, _ in items]
-        queued = [queued_at for _, queued_at in items]
-        responses, shutdown = handle_request_lines(lines, stack.service,
-                                                   queued_ats=queued)
-        _write_text(stdout, encode_responses(responses))
-        if shutdown:
-            return
+    try:
+        while True:
+            items = batcher.next_batch(timeout=0.2)
+            if items is None:
+                if not reader.is_alive() and len(queue) == 0:
+                    break
+                continue
+            stack.poll_inline()
+            responses, shutdown = handle_request_lines(
+                [line for line, _ in items], stack.service,
+                queued_ats=[queued_at for _, queued_at in items])
+            stdout.write(encode_responses(responses))
+            stdout.flush()
+            if shutdown:
+                break
+    finally:
+        stack.stop_background()
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -644,20 +608,19 @@ class SocketServer:
                  batch_wait_ms: float = 0.0) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.stack = stack
         self.service = stack.service
         self.host = host
         self.port = port
         self.workers = workers
-        self.batch_size = batch_size
-        self.batch_wait_ms = batch_wait_ms
         self.queue = BoundedRequestQueue(
             max_depth=queue_depth,
             max_wait_s=None if max_wait_ms is None else max_wait_ms / 1e3,
             latency_estimate=self.service.latency,
             on_shed=self._on_shed)
+        # Stateless between calls, so every worker drains through it.
+        self.batcher = MicroBatcher(self.queue, max_batch_size=batch_size,
+                                    max_wait_ms=batch_wait_ms)
         self._sock: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
@@ -690,28 +653,6 @@ class SocketServer:
         write(response.as_dict())
 
     def _worker(self) -> None:
-        if self.batch_size > 1:
-            return self._batch_worker()
-        while True:
-            item = self.queue.get(timeout=0.2)
-            if item is None:
-                if self._stop.is_set():
-                    return
-                continue
-            write, line, _request_id, queued_at = item
-            try:
-                try:
-                    response, _shutdown = handle_request_line(
-                        line, self.service, queued_at=queued_at)
-                except Exception as exc:  # noqa: BLE001 — workers survive
-                    response = {"status": "error",
-                                "error": {"code": "internal",
-                                          "message": str(exc)}}
-                write(response)
-            finally:
-                self._pending_dec()
-
-    def _batch_worker(self) -> None:
         """Worker loop coalescing queue entries via :class:`MicroBatcher`.
 
         Probes never reach the queue (readers answer them directly), so
@@ -719,10 +660,8 @@ class SocketServer:
         each entry's own connection writer in batch order, all of one
         connection's replies in a single write.
         """
-        batcher = MicroBatcher(self.queue, max_batch_size=self.batch_size,
-                               max_wait_ms=self.batch_wait_ms)
         while True:
-            items = batcher.next_batch(timeout=0.2)
+            items = self.batcher.next_batch(timeout=0.2)
             if items is None:
                 if self._stop.is_set():
                     return
@@ -781,8 +720,7 @@ class SocketServer:
                 payload = _safe_json(stripped)
                 if isinstance(payload, dict) and "op" in payload:
                     # Probes bypass the queue: they must answer under load.
-                    response, shutdown = handle_request_line(
-                        stripped, self.service)
+                    response, shutdown = _answer_op(payload, self.service)
                     write(response)
                     if shutdown:
                         self._stop.set()

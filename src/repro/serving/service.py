@@ -1,4 +1,4 @@
-"""The fault-tolerant prediction service: one request in, one answer out.
+"""The fault-tolerant prediction service: one answer per request.
 
 :class:`PredictionService` wraps any trained :class:`~repro.models.base.
 CTRModel` (zoo baselines, a retrained OptInter architecture, ...) and
@@ -19,6 +19,9 @@ ladder instead of blocking.  A scoring that finishes late still counts
 as a breaker failure (so repeated slowness opens the circuit) and the
 late answer is discarded in favour of the ladder's, keeping the latency
 contract honest.
+
+Scoring has one path: :meth:`PredictionService.predict_batch`.  A
+single request (:meth:`PredictionService.predict`) is a batch of one.
 
 The model reference is swappable under a lock (:meth:`swap_model`),
 which is what the hot reloader uses; in-flight requests finish on the
@@ -89,8 +92,9 @@ class BatchRequest:
     """One request inside a coalesced scoring batch.
 
     ``queued_at`` is a timestamp on the service tracer's clock taken when
-    the transport accepted the request (fills the retroactive
-    ``serve.queue`` span, exactly like :meth:`PredictionService.predict`).
+    the transport accepted the request; it fills the retroactive
+    ``serve.queue`` span.  ``deadline_s=None`` means the service default.
+    The service never writes to a request.
     """
 
     features: Any
@@ -208,25 +212,13 @@ class PredictionService:
     # ------------------------------------------------------------------
     # Scoring internals
     # ------------------------------------------------------------------
-    def _build_batch(self, row: np.ndarray, model: CTRModel, *,
-                     pre_validated: bool = False) -> Batch:
-        x = row.reshape(1, -1)
-        x_cross = None
-        if model.needs_cross:
-            if self.cross_transform is None:
-                raise ModelUnavailableError(
-                    "model needs cross features but none are configured")
-            x_cross = self.cross_transform.transform(
-                x, assume_valid=pre_validated)
-        return Batch(x=x, x_cross=x_cross, y=np.zeros(1))
-
     def _build_batch_rows(self, rows: np.ndarray, model: CTRModel, *,
                           pre_validated: bool = False) -> Batch:
         """One coalesced :class:`Batch` from ``[n, M]`` validated rows.
 
         The cross transform is integer arithmetic applied row by row, so
-        transforming the stacked matrix yields exactly the rows the
-        single-request path computes — the differential suite pins this.
+        transforming the stacked matrix yields exactly the rows each
+        request gets alone — the differential suite pins this.
         """
         x_cross = None
         if model.needs_cross:
@@ -236,17 +228,6 @@ class PredictionService:
             x_cross = self.cross_transform.transform(
                 rows, assume_valid=pre_validated)
         return Batch(x=rows, x_cross=x_cross, y=np.zeros(len(rows)))
-
-    def _score_full(self, model: CTRModel, batch: Batch) -> float:
-        started = self._clock()
-        try:
-            probability = float(model.predict_proba(batch)[0])
-        finally:
-            self.latency.observe(self._clock() - started)
-        if not np.isfinite(probability):
-            raise ValueError(f"model produced a non-finite probability "
-                             f"{probability!r}")
-        return probability
 
     def _finish(self, response: PredictionResponse, started: float,
                 deadline_s: Optional[float]) -> PredictionResponse:
@@ -287,136 +268,36 @@ class PredictionService:
                 deadline_s: Optional[float] = None,
                 request_id: Optional[str] = None,
                 queued_at: Optional[float] = None) -> PredictionResponse:
-        """Answer one request; never raises for per-request faults.
+        """Answer one request: :meth:`predict_batch` on a batch of one.
 
         ``queued_at`` is a timestamp on the *tracer's* clock taken when
         the transport accepted the request; when given, the time spent
         waiting before ``predict`` ran becomes a retroactive
-        ``serve.queue`` child span of this request's trace.
+        ``serve.queue`` child span of the request's ``serve.batch``.
         """
-        with self.tracer.span("serve.request",
-                              request_id=request_id) as span:
-            if queued_at is not None:
-                now = self.tracer.clock()
-                self.tracer.record(
-                    "serve.queue", start=queued_at,
-                    duration_s=max(now - queued_at, 0.0), parent=span,
-                    request_id=request_id)
-            response = self._predict(features, deadline_s=deadline_s,
-                                     request_id=request_id)
-            span.set_attr("status", response.status)
-            if response.served_by is not None:
-                span.set_attr("served_by", response.served_by)
-            if response.degraded_reason is not None:
-                span.set_attr("degraded_reason", response.degraded_reason)
-        return response
-
-    def _predict(self, features: Any, *,
-                 deadline_s: Optional[float],
-                 request_id: Optional[str]) -> PredictionResponse:
-        started = self._clock()
-        if deadline_s is None:
-            deadline_s = self.deadline_s
-        with self._model_lock:
-            model = self._model
-            version = self._model_version
-
-        # 1. Validate — a malformed request is the client's fault and is
-        #    reported field by field, not degraded around.
-        with self.tracer.span("serve.validate") as vspan:
-            try:
-                row = self.validator.validate(features)
-            except InvalidRequestError as exc:
-                vspan.set_attr("valid", False)
-                return self._finish(PredictionResponse(
-                    status=STATUS_INVALID, request_id=request_id,
-                    model_version=version, error=exc.as_payload()),
-                    started, deadline_s)
-            vspan.set_attr("valid", True)
-
-        def degraded(reason: str, model=None,
-                     batch=None) -> PredictionResponse:
-            with self.tracer.span("serve.degrade", reason=reason) as dspan:
-                probability, level = self.ladder.fallback(
-                    model, batch, reason=reason, request_id=request_id)
-                dspan.set_attr("level", level)
-            self._observe_drift(row, None)
-            return self._finish(PredictionResponse(
-                status=STATUS_DEGRADED, probability=probability,
-                served_by=level, model_version=version,
-                request_id=request_id, degraded_reason=reason),
-                started, deadline_s)
-
-        if model is None:
-            # Not ready yet: the ladder still owes the caller a number.
-            return degraded("model_unavailable")
-
-        # 2. Build the model input (cross features included).  A failure
-        #    here is a scoring failure, not a client error.
-        try:
-            batch = self._build_batch(row, model, pre_validated=True)
-        except Exception:
-            self.breaker.record_failure()
-            self.metrics.counter("serve.model_errors").inc()
-            return degraded("feature_error")
-
-        main_effects_batch = Batch(x=batch.x, x_cross=None, y=batch.y)
-
-        # 3. Circuit breaker: an open circuit answers degraded without
-        #    spending latency on a model that is currently failing.
-        if not self.breaker.allow():
-            return degraded("breaker_open", model, main_effects_batch)
-
-        # 4. Deadline pre-check: don't start a scoring we estimate can't
-        #    finish inside the remaining budget.
-        if deadline_s is not None:
-            remaining = deadline_s - (self._clock() - started)
-            if remaining <= self.latency():
-                self.metrics.counter("serve.deadline_misses").inc()
-                self.breaker.record_failure()
-                return degraded("deadline", model, main_effects_batch)
-
-        # 5. Score.  Failures and late finishes feed the breaker.
-        with self.tracer.span("serve.score",
-                              model_version=version) as sspan:
-            try:
-                probability = self._score_full(model, batch)
-            except Exception as exc:
-                sspan.mark_error(exc)
-                self.breaker.record_failure()
-                self.metrics.counter("serve.model_errors").inc()
-                return degraded("model_error", model, main_effects_batch)
-        if (deadline_s is not None
-                and self._clock() - started > deadline_s):
-            self.metrics.counter("serve.deadline_misses").inc()
-            self.breaker.record_failure()
-            return degraded("deadline", model, main_effects_batch)
-        self.breaker.record_success()
-        self._observe_drift(row, probability)
-        return self._finish(PredictionResponse(
-            status=STATUS_OK, probability=probability,
-            served_by=LEVEL_FULL, model_version=version,
-            request_id=request_id), started, deadline_s)
+        return self.predict_batch([BatchRequest(
+            features, deadline_s=deadline_s, request_id=request_id,
+            queued_at=queued_at)])[0]
 
     def predict_batch(self, requests: Sequence[Union["BatchRequest", Any]]
                       ) -> List[PredictionResponse]:
         """Score many requests in one coalesced model call.
 
         Each entry may be a :class:`BatchRequest` or a bare feature
-        mapping.  Responses come back in input order, one per request,
-        with the same per-request guarantees as :meth:`predict`: a bad
-        row quarantines *that row* into an ``invalid`` response without
-        poisoning the batch, every non-scorable row gets a degraded
-        answer from the ladder, and nothing here raises for per-request
-        faults.
+        mapping.  Responses come back in input order, one per request:
+        a bad row quarantines *that row* into an ``invalid`` response
+        without poisoning the batch, every non-scorable row gets a
+        degraded answer from the ladder, and nothing here raises for
+        per-request faults.
 
         Equivalence guarantee (pinned by the differential suite): for a
         service in a deterministic state — breaker closed or open, model
         loaded or not — the ``status`` / ``probability`` (bitwise) /
-        ``served_by`` / ``error`` fields equal what sequential
-        :meth:`predict` calls produce, at every batch size.  Scoring
-        happens under :class:`~repro.nn.tensor.rowwise_matmul` so each
-        row's floating-point path is identical to a batch of one.
+        ``served_by`` / ``error`` fields of a request do not depend on
+        the batch it rides in, and an ``ok`` probability equals
+        ``model.predict_proba`` on that row alone.  Scoring happens
+        under :class:`~repro.nn.tensor.rowwise_matmul` so each row's
+        floating-point path is identical to a batch of one.
 
         Failure *accounting* is batch-level by design: a scoring failure
         feeds the circuit breaker exactly once per batch, not once per
@@ -445,6 +326,10 @@ class PredictionService:
                     "serve.queue", start=req.queued_at,
                     duration_s=max(now - req.queued_at, 0.0), parent=bspan,
                     request_id=req.request_id)
+        # Resolved budgets live here, never on the caller's requests: a
+        # hedged batch is scored by two replicas at once.
+        deadlines = [self.deadline_s if req.deadline_s is None
+                     else req.deadline_s for req in reqs]
         with self._model_lock:
             model = self._model
             version = self._model_version
@@ -465,14 +350,14 @@ class PredictionService:
                     responses[i] = self._finish(PredictionResponse(
                         status=STATUS_INVALID, request_id=req.request_id,
                         model_version=version, error=exc.as_payload()),
-                        started, req.deadline_s)
+                        started, deadlines[i])
             vspan.set_attr("invalid", len(reqs) - len(valid_indices))
 
         row_of = {i: pos for pos, i in enumerate(valid_indices)}
 
         def degraded(i: int, reason: str, with_model: bool = False) -> None:
             """Ladder answer for request ``i`` — per-row batches so the
-            fallback's floating-point path matches sequential predict."""
+            fallback's floating-point path is the row's own."""
             req = reqs[i]
             row = rows[row_of[i]]
             fallback_model = model if with_model else None
@@ -488,7 +373,7 @@ class PredictionService:
                 status=STATUS_DEGRADED, probability=probability,
                 served_by=level, model_version=version,
                 request_id=req.request_id, degraded_reason=reason),
-                started, req.deadline_s)
+                started, deadlines[i])
 
         if not valid_indices:
             return [r for r in responses if r is not None]
@@ -522,11 +407,8 @@ class PredictionService:
         to_score: List[int] = []
         estimate = self.latency()
         for i in valid_indices:
-            deadline_s = (reqs[i].deadline_s if reqs[i].deadline_s is not None
-                          else self.deadline_s)
-            reqs[i].deadline_s = deadline_s
-            if deadline_s is not None:
-                remaining = deadline_s - (self._clock() - started)
+            if deadlines[i] is not None:
+                remaining = deadlines[i] - (self._clock() - started)
                 if remaining <= estimate:
                     self.metrics.counter("serve.deadline_misses").inc()
                     self.breaker.record_failure()
@@ -577,8 +459,8 @@ class PredictionService:
                 self.metrics.counter("serve.model_errors").inc()
                 degraded(i, "model_error", with_model=True)
                 continue
-            if (req.deadline_s is not None
-                    and self._clock() - started > req.deadline_s):
+            if (deadlines[i] is not None
+                    and self._clock() - started > deadlines[i]):
                 self.metrics.counter("serve.deadline_misses").inc()
                 self.breaker.record_failure()
                 degraded(i, "deadline", with_model=True)
@@ -588,7 +470,7 @@ class PredictionService:
             responses[i] = self._finish(PredictionResponse(
                 status=STATUS_OK, probability=probability,
                 served_by=LEVEL_FULL, model_version=version,
-                request_id=req.request_id), started, req.deadline_s)
+                request_id=req.request_id), started, deadlines[i])
         if batch_failed:
             # Non-finite rows are one scoring failure for the batch.
             self.breaker.record_failure()

@@ -1,6 +1,6 @@
 """Differential harness: batched scoring == sequential scoring, bitwise.
 
-The micro-batching tentpole's headline guarantee (docs/serving.md):
+The micro-batching headline guarantee (docs/serving.md):
 ``PredictionService.predict_batch`` answers every request with exactly
 the response sequential ``predict`` calls would give — ``status``,
 ``served_by``, ``degraded_reason``, ``error`` payloads equal, and
@@ -14,6 +14,11 @@ Scoring state is deterministic, so the comparison is exact: the only
 service state the two paths mutate differently is failure *accounting*
 (breaker counts per batch, latency EWMA one observation per batch),
 which never feeds back into a response in these scenarios.
+
+``predict`` is ``predict_batch`` on a batch of one, so the two sides
+share the service's code.  Every case therefore also checks each ``ok``
+probability against an independent reference: ``model.predict_proba``
+on that row alone, built here and run outside ``rowwise_matmul``.
 """
 
 from __future__ import annotations
@@ -24,11 +29,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.data.dataset import Batch
 from repro.data.schema import make_schema
 from repro.models.shallow import LogisticRegression
+from repro.nn.tensor import is_rowwise_matmul
 from repro.serving import (
     BatchRequest,
     CircuitBreaker,
+    InvalidRequestError,
     PredictionService,
     SERVABLE_MODELS,
     STATUS_DEGRADED,
@@ -69,6 +77,48 @@ def assert_identical(sequential, batched, context=""):
         assert a.request_id == b.request_id, where
         assert bits(a.probability) == bits(b.probability), (
             f"{where}: {a.probability!r} != {b.probability!r} bitwise")
+
+
+def model_reference(service, stream, model=None):
+    """Bits of ``model.predict_proba`` on each request's row alone.
+
+    The independent reference: each row is its own ``Batch`` of one,
+    scored outside ``rowwise_matmul`` with no service code on the path
+    but the validator.  ``None`` for requests that fail validation.
+    """
+    model = service.model if model is None else model
+    assert not is_rowwise_matmul()
+    out = []
+    for features in stream:
+        try:
+            row = service.validator.validate(dict(features)).reshape(1, -1)
+        except InvalidRequestError:
+            out.append(None)
+            continue
+        x_cross = (service.cross_transform.transform(row)
+                   if model.needs_cross else None)
+        probability = model.predict_proba(
+            Batch(x=row, x_cross=x_cross, y=np.zeros(1)))[0]
+        out.append(bits(float(probability)))
+    return out
+
+
+def assert_matches_model(responses, references, context=""):
+    """Every ``ok`` probability equals its row's reference, bitwise.
+
+    ``references`` maps a ``model_version`` to :func:`model_reference`
+    for the model serving that version.  Returns how many were checked.
+    """
+    checked = 0
+    for i, response in enumerate(responses):
+        if response.status != STATUS_OK:
+            continue
+        expected = references[response.model_version][i]
+        assert bits(response.probability) == expected, (
+            f"{context} request {i}: {response.probability!r} is not "
+            "predict_proba on its row alone")
+        checked += 1
+    return checked
 
 
 def mixed_stream(schema, rng, count):
@@ -115,13 +165,16 @@ class TestEveryModelFamily:
         service = family_stack(name).service
         rng = np.random.default_rng(11)
         stream = mixed_stream(service.schema, rng, 32)
+        references = {service.model_version: model_reference(service,
+                                                              stream)}
         sequential = run_sequential(service, stream)
-        assert STATUS_OK in {r.status for r in sequential}, (
+        assert assert_matches_model(sequential, references, name) > 0, (
             "stream must exercise genuine full-model scoring")
         for batch_size in range(1, 33):
             batched = run_batched(service, stream, batch_size)
-            assert_identical(sequential, batched,
-                             f"{name} batch_size={batch_size}")
+            context = f"{name} batch_size={batch_size}"
+            assert_identical(sequential, batched, context)
+            assert_matches_model(batched, references, context)
 
 
 class TestHypothesisStreams:
@@ -142,10 +195,14 @@ class TestHypothesisStreams:
         schema = make_schema([8, 6, 10], positive_ratio=0.3)
         service = self._service(schema)
         stream = mixed_stream(schema, np.random.default_rng(seed), count)
+        references = {service.model_version: model_reference(service,
+                                                              stream)}
         sequential = run_sequential(service, stream)
         batched = run_batched(service, stream, batch_size)
-        assert_identical(sequential, batched,
-                         f"seed={seed} batch_size={batch_size}")
+        context = f"seed={seed} batch_size={batch_size}"
+        assert_identical(sequential, batched, context)
+        assert_matches_model(sequential, references, context)
+        assert_matches_model(batched, references, context)
 
 
 class TestDegradedStates:
@@ -164,10 +221,12 @@ class TestDegradedStates:
         sequential = run_sequential(service, stream)
         assert {r.degraded_reason for r in sequential
                 if r.status == STATUS_DEGRADED} == {"model_unavailable"}
+        assert_matches_model(sequential, {})  # no model, nothing is ok
         for batch_size in (1, 2, 5, 17, 32):
-            assert_identical(sequential, run_batched(service, stream,
-                                                     batch_size),
+            batched = run_batched(service, stream, batch_size)
+            assert_identical(sequential, batched,
                              f"model_unavailable batch={batch_size}")
+            assert_matches_model(batched, {})
 
     def test_breaker_open(self):
         schema = self._schema()
@@ -185,10 +244,12 @@ class TestDegradedStates:
         assert reasons == {"breaker_open"}
         # Main-effects fallback answers must match bitwise too.
         assert any(r.served_by == "main_effects" for r in sequential)
+        assert_matches_model(sequential, {})  # open breaker: nothing ok
         for batch_size in (1, 3, 17, 32):
-            assert_identical(sequential, run_batched(service, stream,
-                                                     batch_size),
+            batched = run_batched(service, stream, batch_size)
+            assert_identical(sequential, batched,
                              f"breaker_open batch={batch_size}")
+            assert_matches_model(batched, {})
 
     def test_deadline_exhausted_budget(self):
         """A deadline the EWMA says is unaffordable degrades both ways."""
@@ -207,10 +268,12 @@ class TestDegradedStates:
         sequential = run_sequential(make(), stream)
         assert {r.degraded_reason for r in sequential
                 if r.status == STATUS_DEGRADED} == {"deadline"}
+        assert_matches_model(sequential, {})  # every budget is missed
         for batch_size in (1, 4, 17):
-            assert_identical(sequential,
-                             run_batched(make(), stream, batch_size),
+            batched = run_batched(make(), stream, batch_size)
+            assert_identical(sequential, batched,
                              f"deadline batch={batch_size}")
+            assert_matches_model(batched, {})
 
     def test_reload_mid_stream(self):
         """A swap between batches changes versions; answers still match a
@@ -229,6 +292,9 @@ class TestDegradedStates:
         swap_at = 12
 
         seq_service = make()
+        references = {
+            "initial": model_reference(seq_service, stream),
+            "v2": model_reference(seq_service, stream, model=new_model)}
         sequential = []
         for i, request in enumerate(stream):
             if i == swap_at:
@@ -249,6 +315,9 @@ class TestDegradedStates:
                 batched.extend(batch_service.predict_batch(chunk))
             assert_identical(sequential, batched,
                              f"reload batch={batch_size}")
+            assert_matches_model(batched, references,
+                                 f"reload batch={batch_size}")
+        assert assert_matches_model(sequential, references, "reload") > 0
         versions = {r.model_version for r in sequential}
         assert versions == {"initial", "v2"}
 
@@ -269,6 +338,8 @@ class TestQuarantine:
              BatchRequest(dict(good), request_id="c")])
         assert [r.status for r in responses] == [STATUS_OK, STATUS_INVALID,
                                                  STATUS_OK]
+        assert assert_matches_model(responses, {"initial": model_reference(
+            service, [good, bad, good])}) == 2
         assert responses[1].error["code"] == "invalid_request"
         assert "no_such_field" in responses[1].error["field_errors"]
         assert bits(responses[0].probability) == bits(

@@ -127,10 +127,33 @@ class TestFailover:
         def boom(*a, **k):
             raise RuntimeError("replica down")
 
-        pool.replicas[0].service.predict = boom
+        pool.replicas[0].service.predict_batch = boom
         response = pool.predict(REQ)
         assert response.status == "ok"
         assert pool.metrics.counter("pool.replica_errors").value == 1
+
+    def test_erroring_primary_fails_over_with_hedging_off(self, make_pool):
+        pool = make_pool(n=2, dispatch_timeout_s=2.0)
+        assert pool._hedge_delay_s() is None
+
+        def boom(*a, **k):
+            raise RuntimeError("replica down")
+
+        pool.replicas[0].service.predict_batch = boom
+        response = pool.predict(REQ, request_id="r1")
+        assert response.status == "ok"
+        assert response.request_id == "r1"
+        assert pool.metrics.counter("pool.failovers").value == 1
+        assert pool.metrics.counter("pool.hedges").value == 0
+
+    def test_silent_primary_fails_over_with_hedging_off(self, make_pool):
+        pool = make_pool(n=2, stale_after_s=0.05, dispatch_timeout_s=5.0)
+        slow_replica(pool.replicas[0], delay_s=1.0)
+        started = time.monotonic()
+        responses = pool.predict_batch([REQ, REQ])
+        assert time.monotonic() - started < 0.9
+        assert [r.status for r in responses] == ["ok", "ok"]
+        assert pool.metrics.counter("pool.failovers").value == 1
 
     def test_batch_fails_over_once_then_degrades(self, make_pool):
         pool = make_pool(n=2, dispatch_timeout_s=2.0)
@@ -177,6 +200,16 @@ class TestHedging:
         elapsed = time.monotonic() - started
         assert response.status == "ok"
         assert elapsed < 0.45  # did not wait for the slow primary
+        assert pool.metrics.counter("pool.hedges").value == 1
+        assert pool.metrics.counter("pool.hedge_wins").value == 1
+
+    def test_slow_primary_batch_is_hedged(self, make_pool):
+        pool = make_pool(n=2, hedge_ms=10.0, dispatch_timeout_s=5.0)
+        slow_replica(pool.replicas[0], delay_s=0.5)
+        started = time.monotonic()
+        responses = pool.predict_batch([REQ, {"field_0": 5}, "junk"])
+        assert time.monotonic() - started < 0.45
+        assert [r.status for r in responses] == ["ok", "ok", "invalid"]
         assert pool.metrics.counter("pool.hedges").value == 1
         assert pool.metrics.counter("pool.hedge_wins").value == 1
 
@@ -310,7 +343,7 @@ class TestKillMidStream:
         def boom(*a, **k):
             raise RuntimeError("SIGKILL")
 
-        pool.replicas[0].service.predict = boom
+        pool.replicas[0].service.predict_batch = boom
         for thread in threads:
             thread.join(timeout=30.0)
         assert not errors

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.serving import (
+    BatchRequest,
     CircuitBreaker,
     LEVEL_FULL,
     LEVEL_MAIN_EFFECTS,
@@ -112,6 +113,18 @@ class TestDegradedPaths:
                                deadline_s=0.01)
         response = service.predict({"field_0": 1})
         assert response.degraded_reason == "deadline"
+
+    def test_default_deadline_leaves_the_request_untouched(
+            self, make_service, mem_sink):
+        _, sink = mem_sink
+        service = make_service(deadline_s=0.05)
+        requests = [BatchRequest({"field_0": 1}), BatchRequest("junk")]
+        responses = service.predict_batch(requests)
+        assert [r.status for r in responses] == [STATUS_OK, STATUS_INVALID]
+        assert [r.deadline_s for r in requests] == [None, None]
+        # Every answer is still accounted against the resolved budget.
+        assert [e.payload["deadline_ms"]
+                for e in sink.of_type("serve_request")] == [50.0, 50.0]
 
     def test_no_model_serves_the_prior(self, make_service):
         service = make_service(None, prior_ctr=0.3)

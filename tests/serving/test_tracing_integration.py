@@ -1,10 +1,9 @@
 """End-to-end request tracing: one trace_id from queue to score.
 
-These are the acceptance tests for the serving half of the tracing
-tentpole: a request through :class:`PredictionService` must produce a
-span tree where queue wait, validation and scoring (or degradation)
-all share the request's ``trace_id``, reconstructable from the event
-stream with the ``repro obs`` helpers.
+A request through :class:`PredictionService` must produce a span tree,
+rooted at its ``serve.batch`` span, where queue wait, validation and
+scoring (or degradation) all share the request's ``trace_id``,
+reconstructable from the event stream with the ``repro obs`` helpers.
 """
 
 import json
@@ -38,10 +37,11 @@ class TestRequestSpans:
         assert response.status == "ok"
         spans = spans_from_events(sink.events)
         by_name = {s.name: s for s in spans}
-        assert set(by_name) == {"serve.request", "serve.queue",
+        assert set(by_name) == {"serve.batch", "serve.queue",
                                 "serve.validate", "serve.score"}
         assert len({s.trace_id for s in spans}) == 1
-        request_span = by_name["serve.request"]
+        request_span = by_name["serve.batch"]
+        assert request_span.attrs["batch_size"] == 1
         for child in ("serve.queue", "serve.validate", "serve.score"):
             assert by_name[child].parent_id == request_span.span_id
         assert by_name["serve.queue"].duration_s == pytest.approx(0.25,
@@ -54,7 +54,7 @@ class TestRequestSpans:
         service = make_service(tracer=make_tracer(bus))
         service.predict(request_features, queued_at=service.tracer.clock())
         (root,) = span_tree(spans_from_events(sink.events))
-        assert root["span"].name == "serve.request"
+        assert root["span"].name == "serve.batch"
         assert {n["span"].name for n in root["children"]} == {
             "serve.queue", "serve.validate", "serve.score"}
 
@@ -69,7 +69,7 @@ class TestRequestSpans:
         assert "serve.score" not in names
         validate = [s for s in spans_from_events(sink.events)
                     if s.name == "serve.validate"][0]
-        assert validate.attrs["valid"] is False
+        assert validate.attrs["invalid"] == 1
 
     def test_degraded_request_has_degrade_span(self, make_service, mem_sink,
                                                request_features):
@@ -79,8 +79,8 @@ class TestRequestSpans:
         assert response.status == "degraded"
         by_name = {s.name: s for s in spans_from_events(sink.events)}
         assert by_name["serve.degrade"].attrs["reason"] == "model_unavailable"
-        assert (by_name["serve.request"].attrs["degraded_reason"]
-                == "model_unavailable")
+        assert by_name["serve.batch"].attrs["statuses"] == "degraded"
+        assert response.degraded_reason == "model_unavailable"
 
     def test_serve_request_event_carries_trace_id(self, make_service,
                                                   mem_sink,

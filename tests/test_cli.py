@@ -1,5 +1,7 @@
 """CLI behaviour: argument parsing, dispatch, artefact writing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,39 @@ class TestServingParser:
             ["predict", "--input", "in.jsonl", "--out", "out.jsonl"])
         assert args.input == "in.jsonl"
         assert args.out == "out.jsonl"
+
+
+class TestPredictCommand:
+    """``repro predict`` answers a file the way ``repro serve`` would."""
+
+    def _run_predict(self, tmp_path, lines):
+        requests = tmp_path / "in.jsonl"
+        requests.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["predict", "--model", "LR", "--samples", "300",
+                     "--input", str(requests), "--out", str(out)]) == 0
+        return [json.loads(line) for line in out.read_text().splitlines()]
+
+    def test_one_reply_per_line_in_input_order(self, tmp_path):
+        replies = self._run_predict(tmp_path, [
+            json.dumps({"features": {"field_0": 1}, "request_id": "a"}),
+            json.dumps({"op": "ready"}),
+            "{not json",
+            "",
+            json.dumps({"features": {"bogus": 1}, "request_id": "b"}),
+            json.dumps({"features": {"field_0": 2}, "request_id": "c"}),
+            json.dumps({"op": "shutdown"}),
+            json.dumps({"features": {"field_0": 3}, "request_id": "d"}),
+        ])
+        assert [r.get("request_id") for r in replies] == [
+            "a", None, None, "b", "c", None]
+        assert replies[0]["status"] == "ok"
+        assert replies[1]["ready"] is True
+        assert replies[2]["status"] == "invalid"
+        assert "unparseable JSON" in replies[2]["error"]["message"]
+        assert replies[3]["status"] == "invalid"
+        assert replies[4]["status"] == "ok"
+        assert replies[5] == {"status": "shutting_down"}
 
 
 class TestIngestCLI:
