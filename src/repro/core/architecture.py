@@ -96,6 +96,10 @@ class Architecture:
                 f"alpha must have shape [num_pairs, {len(METHOD_ORDER)}], "
                 f"got {alpha.shape}"
             )
+        if not np.all(np.isfinite(alpha)):
+            # argmax would quietly decode NaN rows as "memorize".
+            raise ValueError("alpha holds non-finite values; the search "
+                             "diverged")
         picks = alpha.argmax(axis=1)
         return cls(methods=tuple(METHOD_ORDER[p] for p in picks))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..nn import init
 from ..nn.module import Module, Parameter
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, gumbel_combine, gumbel_softmax
 from .architecture import METHOD_ORDER, Architecture
 
 
@@ -54,29 +54,29 @@ class CombinationBlock(Module):
             raise ValueError(f"temperature must be positive, got {temperature}")
         self.temperature = temperature
 
-    def method_weights(self, batch_size: Optional[int] = None) -> Tensor:
-        """Per-pair selection weights.
+    def _noise(self, batch_size: Optional[int]) -> Optional[np.ndarray]:
+        """Fresh Gumbel noise in training mode, ``None`` in evaluation."""
+        if not self.training:
+            return None
+        shape = (self.alpha.shape if batch_size is None
+                 else (batch_size,) + self.alpha.shape)
+        return sample_gumbel(shape, self._rng)
 
-        Differentiable w.r.t. α; rows sum to one.  In training mode fresh
-        Gumbel noise is drawn *per instance* when ``batch_size`` is given
-        (shape ``[batch, num_pairs, 3]``), which averages the α gradient
-        over ``batch_size`` independent relaxed samples per step; otherwise
+    def method_weights(self, batch_size: Optional[int] = None) -> np.ndarray:
+        """Per-pair selection weights, as :meth:`combine` mixes with them.
+
+        Rows sum to one.  In training mode fresh Gumbel noise is drawn
+        *per instance* when ``batch_size`` is given (shape ``[batch,
+        num_pairs, 3]``), which averages the α gradient over
+        ``batch_size`` independent relaxed samples per step; otherwise
         one shared sample is drawn (shape ``[num_pairs, 3]``).
         """
-        logits = self.alpha
-        if self.training:
-            shape = (self.alpha.shape if batch_size is None
-                     else (batch_size,) + self.alpha.shape)
-            noise = sample_gumbel(shape, self._rng)
-            logits = logits + Tensor(noise)
-        return (logits * (1.0 / self.temperature)).softmax(axis=-1)
+        return gumbel_softmax(self.alpha.data, self._noise(batch_size),
+                              self.temperature)
 
     def probabilities(self) -> np.ndarray:
         """Noiseless selection probabilities (numpy, for inspection)."""
-        scaled = self.alpha.data / self.temperature
-        shifted = scaled - scaled.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=-1, keepdims=True)
+        return gumbel_softmax(self.alpha.data, None, self.temperature)
 
     def derive_architecture(self) -> Architecture:
         """Hard argmax decode of α (paper Eq. 19)."""
@@ -85,24 +85,16 @@ class CombinationBlock(Module):
     def combine(self, e_memorized: Tensor, e_factorized: Tensor) -> Tensor:
         """Weighted sum over candidates (Eq. 18).
 
-        ``e_memorized`` and ``e_factorized`` must be zero-padded to a common
-        dimension ``[n, num_pairs, D]``; the naïve candidate is the zero
-        vector so it contributes nothing to the sum (but its weight still
-        dilutes the other two, which is what lets the search discover that
-        an interaction is best ignored).
+        ``e_memorized`` (``[n, num_pairs, d_mem]``) and ``e_factorized``
+        (``[n, num_pairs, d_fac]``) may differ in width; the result is
+        ``[n, num_pairs, max(d_mem, d_fac)]``, the narrower candidate
+        counting as zero-padded.  The naïve candidate is the zero vector
+        so it contributes nothing to the sum (but its weight still
+        dilutes the other two, which is what lets the search discover
+        that an interaction is best ignored).  Training mode draws fresh
+        Gumbel noise per instance, exactly as :meth:`method_weights` with
+        ``batch_size=n`` would.
         """
-        if e_memorized.shape != e_factorized.shape:
-            raise ValueError(
-                f"candidate shapes differ: {e_memorized.shape} vs "
-                f"{e_factorized.shape}"
-            )
-        batch_size = e_memorized.shape[0] if self.training else None
-        weights = self.method_weights(batch_size)  # [n, P, 3] or [P, 3]
-        n_pairs = self.num_pairs
-        if weights.ndim == 3:
-            w_mem = weights[:, :, 0].reshape(batch_size, n_pairs, 1)
-            w_fac = weights[:, :, 1].reshape(batch_size, n_pairs, 1)
-        else:
-            w_mem = weights[:, 0].reshape(1, n_pairs, 1)
-            w_fac = weights[:, 1].reshape(1, n_pairs, 1)
-        return e_memorized * w_mem + e_factorized * w_fac
+        noise = self._noise(e_memorized.shape[0])
+        return gumbel_combine(self.alpha, noise, e_memorized, e_factorized,
+                              self.temperature)

@@ -161,14 +161,6 @@ class HigherOrderOptInter(CTRModel):
         a, b, c = self._t_idx
         return (emb[:, a[idx], :] * emb[:, b[idx], :]) * emb[:, c[idx], :]
 
-    @staticmethod
-    def _pad_last(t: Tensor, width: int) -> Tensor:
-        current = t.shape[-1]
-        if current == width:
-            return t
-        pad_shape = t.shape[:-1] + (width - current,)
-        return concatenate([t, Tensor(np.zeros(pad_shape))], axis=-1)
-
     def _check_triples(self, batch: Batch) -> None:
         if self.num_triples and batch.x_triple is None:
             raise ValueError(
@@ -185,18 +177,14 @@ class HigherOrderOptInter(CTRModel):
         parts: List[Tensor] = [flatten_embeddings(emb)]
 
         if self.pair_architecture is None:
-            e_mem = self._pad_last(self.pair_cross(batch.x_cross),
-                                   self._pad_dim)
-            e_fac = self._pad_last(self._pair_factorized(
-                emb, self._fac_pairs), self._pad_dim)
-            combined = self.pair_combination.combine(e_mem, e_fac)
+            combined = self.pair_combination.combine(
+                self.pair_cross(batch.x_cross),
+                self._pair_factorized(emb, self._fac_pairs))
             parts.append(combined.reshape(n, self.num_pairs * self._pad_dim))
             if self.num_triples:
-                t_mem = self._pad_last(self.triple_cross(batch.x_triple),
-                                       self._pad_dim)
-                t_fac = self._pad_last(self._triple_factorized(
-                    emb, self._fac_triples), self._pad_dim)
-                combined_t = self.triple_combination.combine(t_mem, t_fac)
+                combined_t = self.triple_combination.combine(
+                    self.triple_cross(batch.x_triple),
+                    self._triple_factorized(emb, self._fac_triples))
                 parts.append(combined_t.reshape(
                     n, self.num_triples * self._pad_dim))
         else:

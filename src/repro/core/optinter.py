@@ -94,7 +94,7 @@ class OptInterModel(CTRModel):
         self._fac_dim = 1 if factorization == "inner" else embed_dim
 
         if architecture is None:
-            # Search mode: all candidates alive, padded to a common width.
+            # Search mode: all candidates alive, mixed at a common width.
             self.cross_embedding = CrossEmbedding(cross_cardinalities,
                                                   cross_embed_dim, rng=rng,
                                                   dense_grad=dense_grad)
@@ -154,15 +154,6 @@ class OptInterModel(CTRModel):
             return product * self.generalized_kernel
         return product
 
-    @staticmethod
-    def _pad_last(t: Tensor, width: int) -> Tensor:
-        """Zero-pad the last dimension up to ``width``."""
-        current = t.shape[-1]
-        if current == width:
-            return t
-        pad_shape = t.shape[:-1] + (width - current,)
-        return concatenate([t, Tensor(np.zeros(pad_shape))], axis=-1)
-
     # ------------------------------------------------------------------
     def forward(self, batch: Batch) -> Tensor:
         self._check_batch(batch)
@@ -173,8 +164,6 @@ class OptInterModel(CTRModel):
         if self.architecture is None:
             e_mem = self.cross_embedding(batch.x_cross)  # [n, P, s2]
             e_fac = self._factorized_embeddings(emb, self._fac_pairs)
-            e_mem = self._pad_last(e_mem, self._pad_dim)
-            e_fac = self._pad_last(e_fac, self._pad_dim)
             combined = self.combination.combine(e_mem, e_fac)
             parts.append(combined.reshape(n, self.num_pairs * self._pad_dim))
         else:

@@ -28,7 +28,7 @@ from ..obs.tracing import Tracer
 from ..resilience.checkpoint import CheckpointManager, TrainingCheckpoint
 from ..resilience.recovery import DivergenceGuard, RecoveryPolicy
 from ..training.history import EpochRecord, History
-from ..training.trainer import evaluate_model
+from ..training.trainer import evaluate_model, non_finite_loss_error
 from .architecture import Architecture
 from .optinter import OptInterModel
 
@@ -156,6 +156,11 @@ def _parameter_groups(model: OptInterModel, config: SearchConfig):
     return groups
 
 
+def _mean_loss(losses: List[float]) -> float:
+    """An epoch's mean batch loss; NaN when the guard skipped every batch."""
+    return float(np.mean(losses)) if losses else float("nan")
+
+
 def search_optinter(train: CTRDataset, val: Optional[CTRDataset],
                     config: SearchConfig,
                     bus: Optional[EventBus] = None,
@@ -240,12 +245,14 @@ def search_optinter(train: CTRDataset, val: Optional[CTRDataset],
                                          step=step, loss=value)
                             continue
                     else:
+                        if not np.isfinite(value):
+                            raise non_finite_loss_error(value, epoch, step)
                         loss.backward()
                     optimizer.step()
                     losses.append(value)
                     step += 1
                 record = EpochRecord(epoch=epoch,
-                                     train_loss=float(np.mean(losses)))
+                                     train_loss=_mean_loss(losses))
                 if val is not None and len(val) > 0:
                     metrics = evaluate_model(model, val)
                     record.val_auc = metrics["auc"]
@@ -329,6 +336,8 @@ def search_bilevel(train: CTRDataset, val: CTRDataset,
                     loss = binary_cross_entropy_with_logits(model(batch),
                                                             batch.y)
                     value = loss.item()
+                    if guard is None and not np.isfinite(value):
+                        raise non_finite_loss_error(value, epoch, step)
                     if guard is not None and not guard.loss_ok(value):
                         guard.strike("non_finite_loss", stage="bilevel",
                                      level="theta", epoch=epoch, step=step,
@@ -349,6 +358,9 @@ def search_bilevel(train: CTRDataset, val: CTRDataset,
                     val_loss = binary_cross_entropy_with_logits(
                         model(val_batch), val_batch.y)
                     val_value = val_loss.item()
+                    if guard is None and not np.isfinite(val_value):
+                        raise non_finite_loss_error(val_value, epoch, step,
+                                                    "validation")
                     if guard is not None and not guard.loss_ok(val_value):
                         guard.strike("non_finite_loss", stage="bilevel",
                                      level="alpha", epoch=epoch, step=step,
@@ -364,7 +376,7 @@ def search_bilevel(train: CTRDataset, val: CTRDataset,
                             alpha_opt.step()
                     step += 1
                 record = EpochRecord(epoch=epoch,
-                                     train_loss=float(np.mean(losses)))
+                                     train_loss=_mean_loss(losses))
                 metrics = evaluate_model(model, val)
                 record.val_auc = metrics["auc"]
                 record.val_log_loss = metrics["log_loss"]

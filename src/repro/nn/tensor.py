@@ -648,6 +648,95 @@ def index_select(x: Tensor, indices: np.ndarray, axis: int = 0,
     return Tensor._make(out_data, (x,), backward)
 
 
+def gumbel_softmax(alpha: np.ndarray, noise: Optional[np.ndarray],
+                   tau: float) -> np.ndarray:
+    """Gumbel-softmax weights ``softmax((alpha + noise) / tau)`` (Eqs. 16-17).
+
+    ``alpha`` holds ``[P, 3]`` logits over (memorize, factorize, naive);
+    ``noise`` is Gumbel samples broadcastable against it, or ``None`` for
+    the noiseless probabilities.  The max and the sum over the three
+    methods are taken column by column, in the order numpy's reduction
+    over a length-3 axis adds them, without its per-row overhead: the
+    weights equal ``Tensor.softmax`` of the same logits bit for bit.
+    """
+    logits = alpha if noise is None else alpha + noise
+    scaled = logits * (1.0 / tau)
+    shifted = scaled - np.maximum(np.maximum(scaled[..., 0], scaled[..., 1]),
+                                  scaled[..., 2])[..., None]
+    exp = np.exp(shifted)
+    return exp / ((exp[..., 0] + exp[..., 1]) + exp[..., 2])[..., None]
+
+
+def gumbel_combine(alpha: Tensor, noise: Optional[np.ndarray],
+                   e_mem: Tensor, e_fac: Tensor, tau: float) -> Tensor:
+    """Gumbel-softmax weighted sum of two candidates (paper Eqs. 16-18).
+
+    ``alpha`` holds the ``[P, 3]`` logits over (memorize, factorize,
+    naive).  With ``noise`` (Gumbel samples, ``[n, P, 3]``) every
+    instance gets its own weights ``softmax((alpha + noise) / tau)``;
+    with ``noise=None`` one noiseless ``[P, 3]`` softmax serves the
+    batch.  ``e_mem`` (``[n, P, d_mem]``) and ``e_fac`` (``[n, P,
+    d_fac]``) are the unpadded candidates.  The result is ``[n, P,
+    max(d_mem, d_fac)]``, as if the narrower one were zero-padded; the
+    naive candidate is the zero vector, so its weight only dilutes the
+    other two.
+
+    One forward and one backward stand in for the composed pad, noise,
+    scale, softmax, slice, multiply and add ops, and reproduce them bit
+    for bit: every sum adds the same terms in the order numpy's
+    reduction would.
+    """
+    (n, pairs, d_mem), d_fac = e_mem.shape, e_fac.shape[-1]
+    if e_fac.shape[:2] != (n, pairs) or alpha.shape != (pairs, 3):
+        raise ValueError(
+            f"gumbel_combine needs alpha [P, 3] and candidates [n, P, d], "
+            f"got alpha {alpha.shape}, e_mem {e_mem.shape}, "
+            f"e_fac {e_fac.shape}")
+    if noise is not None and noise.shape != (n, pairs, 3):
+        raise ValueError(
+            f"noise must have shape {(n, pairs, 3)}, got {noise.shape}")
+    width = max(d_mem, d_fac)
+    weights = gumbel_softmax(alpha.data, noise, tau)
+    batched = weights if noise is not None else weights[None]
+    w_mem, w_fac = batched[..., 0:1], batched[..., 1:2]
+
+    # The narrower candidate goes into zeros first, so each lane adds the
+    # same two terms the padded sum did (x + 0.0 is not x when x is -0.0).
+    (narrow, w_narrow), (wide, w_wide) = sorted(
+        [(e_mem.data, w_mem), (e_fac.data, w_fac)],
+        key=lambda pair: pair[0].shape[-1])
+    out_data = np.zeros((n, pairs, width))
+    out_data[..., :narrow.shape[-1]] = narrow * w_narrow
+    out_data += wide * w_wide
+
+    def backward(grad: np.ndarray) -> None:
+        g_mem, g_fac = grad[..., :d_mem], grad[..., :d_fac]
+        if e_mem.requires_grad:
+            e_mem._accumulate(g_mem * w_mem)
+        if e_fac.requires_grad:
+            e_fac._accumulate(g_fac * w_fac)
+        if not alpha.requires_grad:
+            return
+        d_weights = np.zeros(weights.shape)
+        for column, e in enumerate((e_mem.data, e_fac.data)):
+            # grad times the zero-padded candidate, summed over the width
+            # (and over the batch for shared weights): the composed
+            # multiply's own reduction, so the same bits.
+            if e.shape[-1] < width:
+                pad = np.zeros(e.shape[:-1] + (width - e.shape[-1],))
+                e = np.concatenate([e, pad], axis=-1)
+            d_w = (grad * e).sum(axis=-1)
+            d_weights[..., column] = d_w if noise is not None else d_w.sum(0)
+        # Softmax backward, its dot product summed column-wise as above.
+        q = d_weights * weights
+        dot = (q[..., 0] + q[..., 1]) + q[..., 2]
+        d_logits = weights * (d_weights - dot[..., None]) * (1.0 / tau)
+        alpha._accumulate(d_logits if noise is None
+                          else d_logits.sum(axis=0))
+
+    return Tensor._make(out_data, (alpha, e_mem, e_fac), backward)
+
+
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Differentiable selection; ``condition`` is a fixed boolean array."""
     a = a if isinstance(a, Tensor) else Tensor(a)

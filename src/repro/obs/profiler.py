@@ -2,7 +2,8 @@
 
 ``Profiler`` is a context manager that, while active, replaces the op
 methods of :class:`~repro.nn.tensor.Tensor` (plus the free functions
-``concatenate`` / ``stack`` / ``embedding_lookup`` / ``where``) and
+``concatenate`` / ``stack`` / ``embedding_lookup`` / ``index_select`` /
+``where`` / ``gumbel_combine``) and
 :meth:`Module.__call__ <repro.nn.module.Module.__call__>` with timing
 wrappers.  Each wrapper records
 
@@ -57,7 +58,7 @@ _TENSOR_METHODS: Dict[str, str] = {
 #: free functions in repro.nn.tensor that construct ops directly.
 _FREE_FUNCTIONS: Tuple[str, ...] = ("concatenate", "stack",
                                     "embedding_lookup", "index_select",
-                                    "where")
+                                    "where", "gumbel_combine")
 
 
 @dataclass

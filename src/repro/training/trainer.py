@@ -71,6 +71,19 @@ def evaluate_model(model: Module, dataset: CTRDataset,
     return evaluate_predictions(dataset.y, probs)
 
 
+def non_finite_loss_error(value: float, epoch: int, step: int,
+                          split: str = "training") -> RuntimeError:
+    """The fail-fast error of a training loop that runs without a guard.
+
+    ``split`` names the data the bad batch came from ("training", or
+    "validation" for the α level of the bi-level search).
+    """
+    return RuntimeError(
+        f"non-finite {split} loss ({value}) at epoch {epoch}, global step "
+        f"{step}; lower the learning rate or inspect the input data"
+    )
+
+
 class Trainer:
     """Orchestrates epochs, early stopping and best-weight restoration.
 
@@ -202,11 +215,8 @@ class Trainer:
             value = loss.item()
             if not np.isfinite(value):
                 if self._guard is None:
-                    raise RuntimeError(
-                        f"non-finite training loss ({value}) at epoch "
-                        f"{epoch}, global step {self._global_step}; lower "
-                        "the learning rate or inspect the input data"
-                    )
+                    raise non_finite_loss_error(value, epoch,
+                                                self._global_step)
                 self._guard.strike("non_finite_loss", epoch=epoch,
                                    step=self._global_step, loss=value)
                 continue

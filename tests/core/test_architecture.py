@@ -47,6 +47,14 @@ class TestFromAlpha:
         with pytest.raises(ValueError):
             Architecture.from_alpha(np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_rejected(self, bad):
+        # A diverged search must not decode as "memorize everywhere".
+        alpha = np.zeros((3, 3))
+        alpha[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Architecture.from_alpha(alpha)
+
 
 class TestQueries:
     def test_pairs_with(self):

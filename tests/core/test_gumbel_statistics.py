@@ -35,7 +35,7 @@ class TestRelaxationSharpness:
 
         def mean_max_weight(tau):
             block.set_temperature(tau)
-            w = block.method_weights().numpy()
+            w = block.method_weights()
             return w.max(axis=-1).mean()
 
         sharp = mean_max_weight(0.1)
@@ -48,7 +48,7 @@ class TestRelaxationSharpness:
         block.train()
         block.alpha.data = rng.normal(size=(100, 3))
         block.set_temperature(200.0)
-        w = block.method_weights().numpy()
+        w = block.method_weights()
         np.testing.assert_allclose(w, 1 / 3, atol=0.05)
 
     def test_expected_weights_track_selection_probabilities(self, rng):
@@ -60,7 +60,7 @@ class TestRelaxationSharpness:
         block.set_temperature(1.0)
         total = np.zeros(3)
         for _ in range(2000):
-            total += block.method_weights().numpy()[0]
+            total += block.method_weights()[0]
         mean = total / 2000
         assert mean[0] > mean[1] > mean[2]
 

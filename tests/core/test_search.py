@@ -1,5 +1,7 @@
 """Search algorithms: joint (Alg. 1), bi-level, random."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core import (
     search_bilevel,
     search_optinter,
 )
+from repro.resilience import BatchCorruptor, FaultyDataset, RecoveryPolicy
 
 
 def _config(**overrides):
@@ -90,6 +93,43 @@ class TestBilevelSearch:
         joint = search_optinter(train, val, _config())
         bilevel = search_bilevel(train, val, _config())
         assert not np.allclose(joint.alpha, bilevel.alpha)
+
+
+class TestDivergence:
+    """Without a recovery policy a NaN loss fails fast, as in Trainer."""
+
+    def test_joint_search_raises_on_non_finite_loss(self, tiny_splits):
+        train, val, _ = tiny_splits
+        faulty = FaultyDataset(train, BatchCorruptor(at_batch=2))
+        with pytest.raises(RuntimeError, match="non-finite training loss"):
+            search_optinter(faulty, val, _config())
+
+    @pytest.mark.parametrize("level", ["theta", "alpha"])
+    def test_bilevel_search_raises_on_non_finite_loss(self, tiny_splits,
+                                                      level):
+        train, val, _ = tiny_splits
+        if level == "theta":
+            train = FaultyDataset(train, BatchCorruptor(at_batch=1))
+            split = "training"
+        else:
+            val = FaultyDataset(val, BatchCorruptor(at_batch=1))
+            split = "validation"
+        with pytest.raises(RuntimeError, match=f"non-finite {split} loss"):
+            search_bilevel(train, val, _config())
+
+    @pytest.mark.parametrize("search", [search_optinter, search_bilevel])
+    def test_epoch_with_every_batch_skipped_reports_nan(self, tiny_splits,
+                                                        search):
+        # One batch per epoch, poisoned and skipped by the guard: the
+        # epoch has no loss to average, and says so without a warning.
+        train, val, _ = tiny_splits
+        faulty = FaultyDataset(train, BatchCorruptor(at_batch=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = search(faulty, val,
+                            _config(epochs=1, batch_size=len(train)),
+                            recovery=RecoveryPolicy(max_batch_skips=2))
+        assert np.isnan(result.history.records[0].train_loss)
 
 
 class TestRandomArchitecture:

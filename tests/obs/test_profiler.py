@@ -90,6 +90,25 @@ class TestOpAttribution:
             embed(np.array([0, 3, 5]))
         assert prof.op_stats["embedding_lookup"].calls == 1
 
+    def test_search_step_attributes_gumbel_combine(self, tiny_splits):
+        """The search-mode combination is one op, forward and backward."""
+        from repro.core import OptInterModel
+        from repro.nn import binary_cross_entropy_with_logits
+
+        train = tiny_splits[0]
+        model = OptInterModel(train.cardinalities, train.cross_cardinalities,
+                              embed_dim=4, cross_embed_dim=2,
+                              hidden_dims=(8,), rng=np.random.default_rng(0))
+        model.train()
+        batch = next(iter(train.iter_batches(64)))
+        with Profiler() as prof:
+            binary_cross_entropy_with_logits(model(batch),
+                                             batch.y).backward()
+        stat = prof.op_stats["gumbel_combine"]
+        assert stat.calls == 1 and stat.backward_calls == 1
+        assert stat.self_s > 0 and stat.backward_s > 0
+        assert "softmax" not in prof.op_stats
+
     def test_module_forward_times_recorded(self):
         class Doubler(Module):
             def forward(self, x):
