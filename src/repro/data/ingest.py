@@ -41,6 +41,7 @@ and typed ``ingest`` / ``quarantine`` events on the bus.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -52,6 +53,7 @@ from typing import (Any, Callable, Dict, IO, Iterator, List, Optional,
 
 import numpy as np
 
+from ..backoff import retry_with_backoff
 from ..fsutil import atomic_write_text
 from .dataset import CTRDataset
 from .errors import (ArityError, BadLabelError, BadNumericError, IngestError,
@@ -239,10 +241,9 @@ class _ResilientLineReader:
                  = None) -> None:
         self._path = path
         self._opener = opener
-        self._retries = retries
-        self._base_delay = base_delay
-        self._sleep = sleep
-        self._on_retry = on_retry
+        self._retry = functools.partial(
+            retry_with_backoff, retries=retries, base_delay=base_delay,
+            max_delay=2.0, jitter=0.0, sleep=sleep, on_retry=on_retry)
         self._handle: Optional[IO[bytes]] = None
         self.offset = 0
 
@@ -262,26 +263,33 @@ class _ResilientLineReader:
                 pass
             self._handle = None
 
+    def _read_once(self) -> bytes:
+        try:
+            if self._handle is None:
+                self._handle = self._opener(str(self._path))
+                self._handle.seek(self.offset)
+            line = self._handle.readline()
+        except OSError:
+            self._drop_handle()
+            raise
+        self.offset += len(line)
+        return line
+
     def readline(self) -> bytes:
         """Next raw line (with terminator); ``b""`` at EOF."""
-        attempt = 0
-        while True:
-            try:
-                if self._handle is None:
-                    self._handle = self._opener(str(self._path))
-                    self._handle.seek(self.offset)
-                line = self._handle.readline()
-                self.offset += len(line)
-                return line
-            except OSError as exc:
-                self._drop_handle()
-                if attempt >= self._retries:
-                    raise
-                delay = min(self._base_delay * 2.0 ** attempt, 2.0)
-                attempt += 1
-                if self._on_retry is not None:
-                    self._on_retry(attempt, exc)
-                self._sleep(delay)
+        try:
+            return self._read_once()
+        except OSError as exc:
+            failed = [exc]
+
+        def again() -> bytes:
+            # Replays the failure already seen, so the schedule sleeps
+            # its first delay before the next read.
+            if failed:
+                raise failed.pop()
+            return self._read_once()
+
+        return self._retry(again)
 
     def close(self) -> None:
         self._drop_handle()

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, IO, List, Optional
 
+from ..backoff import capped_delay
 from ..fsutil import PathLike
 from ..obs.events import EventBus
 from ..obs.metrics import MetricsRegistry
@@ -413,8 +414,8 @@ class Supervisor:
             self._quarantine(manifest, job_id, state, "crash_loop")
             return
         failures = state.attempts
-        delay = min(self.config.retry_base_delay * 2 ** (failures - 1),
-                    self.config.retry_max_delay)
+        delay = capped_delay(self.config.retry_base_delay, failures - 1,
+                             self.config.retry_max_delay)
         state.status = "pending"
         state.next_attempt_at = now + delay
         self._count("retries")

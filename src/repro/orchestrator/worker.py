@@ -28,13 +28,13 @@ import argparse
 import json
 import os
 import sys
-import threading
 import time
 import traceback
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..fsutil import atomic_write_text
+from ..poller import Poller
 from .faults import apply_worker_faults
 from .jobs import (EXIT_FAILURE, EXIT_OK, EXIT_OPERATOR, EXIT_TRANSIENT,
                    JobSpec, config_for)
@@ -62,8 +62,9 @@ class Heartbeat:
         self.clock = clock
         self.beats = 0
         self._stall_after: Optional[int] = None
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        # A failed beat (say, a vanished workdir) must not crash the job.
+        self._poller = Poller(self.beat, lambda: self.interval_s,
+                              lambda _exc: None, "heartbeat")
 
     def beat(self) -> None:
         if self._stall_after is not None and self.beats >= self._stall_after:
@@ -78,19 +79,11 @@ class Heartbeat:
 
     def start(self) -> "Heartbeat":
         self.beat()  # the supervisor sees a beat before any job work
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
+        self._poller.start()
         return self
 
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.beat()
-            except OSError:  # a vanished workdir must not crash the job
-                pass
-
     def stop(self) -> None:
-        self._stop.set()
+        self._poller.stop()
 
 
 def job_dir_for(workdir: Path, job_id: str) -> Path:

@@ -34,7 +34,8 @@ import os
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (Any, Callable, Container, Dict, List, Optional, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -362,14 +363,18 @@ class CheckpointManager:
     def latest_valid(
         self,
         on_corrupt: Optional[Callable[[Path, Exception], None]] = None,
+        skip: Container[str] = (),
     ) -> Optional[Tuple[TrainingCheckpoint, Path]]:
         """The newest checkpoint that loads and verifies, or ``None``.
 
         Corrupt files are skipped (newest-first) after notifying
         ``on_corrupt(path, error)`` — the hook resilience code uses to
-        emit a ``recovery`` event so traces record the fallback.
+        emit a ``recovery`` event so traces record the fallback.  Paths
+        in ``skip`` (as strings) are passed over unread.
         """
         for path in reversed(self.checkpoints()):
+            if str(path) in skip:
+                continue
             try:
                 return TrainingCheckpoint.load(path), path
             except FileNotFoundError:

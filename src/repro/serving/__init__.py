@@ -36,7 +36,7 @@ answer inside its deadline**.  Six cooperating pieces:
 (batch scoring) expose it from the CLI; see ``docs/serving.md``.
 """
 
-from .backoff import RestartBackoff, backoff_delays, retry_with_backoff
+from ..backoff import RestartBackoff
 from .batching import MicroBatcher
 from .degradation import (
     CircuitBreaker,
@@ -113,8 +113,6 @@ __all__ = [
     "STATUS_DEGRADED",
     "STATUS_INVALID",
     "STATUS_SHED",
-    "backoff_delays",
-    "retry_with_backoff",
     "RestartBackoff",
     "Replica",
     "ReplicaPool",

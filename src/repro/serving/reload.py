@@ -6,7 +6,7 @@ watches that directory and promotes newer checkpoints through a strict
 pipeline:
 
 1. **read with retry** — transient ``OSError``s back off exponentially
-   with jitter (:func:`~repro.serving.backoff.retry_with_backoff`);
+   with jitter (:func:`~repro.backoff.retry_with_backoff`);
 2. **integrity** — checksum/version failures surface as
    :class:`CorruptCheckpointError` and the file is remembered as bad so
    it is not re-tried every poll;
@@ -25,18 +25,19 @@ promote/rollback history reconstructs from the trace.
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..backoff import retry_with_backoff
 from ..models.base import CTRModel
 from ..obs.events import EventBus
 from ..obs.metrics import MetricsRegistry
+from ..poller import Poller
 from ..resilience.checkpoint import (CheckpointManager, CorruptCheckpointError,
                                      TrainingCheckpoint)
-from .backoff import retry_with_backoff
 from .service import PredictionService
 
 
@@ -118,6 +119,70 @@ class GoldenSet:
         return golden
 
 
+class CheckpointRefused(Exception):
+    """A checkpoint that must never be served: ``kind`` is ``corrupt``,
+    ``load_failed`` or ``golden`` (then ``epoch`` is its own epoch)."""
+
+    def __init__(self, kind: str, reason: str,
+                 epoch: Optional[int] = None) -> None:
+        super().__init__(reason)
+        self.kind = kind
+        self.epoch = epoch
+
+    @property
+    def status(self) -> str:
+        """The event status every watcher reports for this refusal."""
+        return "golden_failed" if self.kind == "golden" else "corrupt"
+
+
+def admit_checkpoint(path: str, model_factory: Callable[[], CTRModel], *,
+                     service: PredictionService,
+                     golden: Optional[GoldenSet], retries: int,
+                     sleep: Callable[[float], None],
+                     on_retry: Optional[Callable[[int, BaseException], None]]
+                     = None) -> Tuple[TrainingCheckpoint, CTRModel]:
+    """Read, verify, load and golden-check one checkpoint file.
+
+    Returns ``(checkpoint, model)`` with the weights in a *fresh*
+    ``model_factory()`` instance, so a half-applied load never touches a
+    live model; ``golden`` scores through ``service``'s validator.
+    Transient ``OSError``s retry with backoff and propagate once the
+    budget is spent (the file may read fine on a later poll); every
+    other failure raises :class:`CheckpointRefused`.
+    """
+    data = retry_with_backoff(Path(path).read_bytes, retries=retries,
+                              sleep=sleep, on_retry=on_retry)
+    try:
+        checkpoint = TrainingCheckpoint.from_bytes(data, source=str(path))
+    except CorruptCheckpointError as exc:
+        raise CheckpointRefused("corrupt", str(exc)) from exc
+    try:
+        model = model_factory()
+        model.load_state_dict(checkpoint.model_state)
+    except Exception as exc:  # noqa: BLE001 — mismatched architecture...
+        raise CheckpointRefused("load_failed", str(exc)) from exc
+    if golden is not None:
+        reason = golden.check(service, model)
+        if reason is not None:
+            raise CheckpointRefused("golden", reason, checkpoint.epoch)
+    return checkpoint, model
+
+
+def newest_candidate(manager: CheckpointManager,
+                     loaded_epoch: Optional[int],
+                     is_bad: Callable[[Path], bool]
+                     ) -> Optional[Tuple[Path, int]]:
+    """The newest checkpoint strictly newer than ``loaded_epoch`` that
+    ``is_bad`` does not reject, with its epoch; ``None`` if there is none."""
+    for path in reversed(manager.checkpoints()):
+        epoch = manager._epoch_of(path)
+        if loaded_epoch is not None and epoch <= loaded_epoch:
+            return None
+        if not is_bad(path):
+            return path, epoch
+    return None
+
+
 class HotReloader:
     """Watches a checkpoint directory and promotes validated models.
 
@@ -148,8 +213,9 @@ class HotReloader:
         self._sleep = sleep
         self._loaded_epoch: Optional[int] = None
         self._bad_paths: Dict[str, float] = {}
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+        self.poller = Poller(
+            self.poll_once, lambda: self.interval_s,
+            lambda exc: self._emit("error", error=str(exc)), "hot-reloader")
 
     # ------------------------------------------------------------------
     def _emit(self, status: str, **payload) -> None:
@@ -158,24 +224,14 @@ class HotReloader:
         if self.bus is not None:
             self.bus.emit("reload", status=status, **payload)
 
-    def _newest_candidate(self) -> Optional[str]:
-        """Newest checkpoint path newer than the loaded epoch, skipping
-        files already known to be bad (keyed by path + mtime, so a
-        rewritten file gets a fresh chance)."""
-        for path in reversed(self.manager.checkpoints()):
-            epoch = self.manager._epoch_of(path)
-            if epoch is None:
-                continue
-            if self._loaded_epoch is not None and epoch <= self._loaded_epoch:
-                return None
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue
-            if self._bad_paths.get(str(path)) == mtime:
-                continue
-            return str(path)
-        return None
+    def _is_bad(self, path: Path) -> bool:
+        """Known bad, keyed by path + mtime so a rewritten file gets a
+        fresh chance; a file that cannot be statted is skipped too."""
+        try:
+            mtime = path.stat().st_mtime
+        except OSError:
+            return True
+        return self._bad_paths.get(str(path)) == mtime
 
     def poll_once(self) -> bool:
         """One reload attempt; True iff a new model was promoted.
@@ -184,31 +240,26 @@ class HotReloader:
         pipeline runs inside a ``serve.reload`` span (idle polls stay
         span-free, so traces only show reloads that did work).
         """
-        candidate = self._newest_candidate()
-        if candidate is None:
+        found = newest_candidate(self.manager, self._loaded_epoch,
+                                 self._is_bad)
+        if found is None:
             return False
+        path = found[0]
         with self.service.tracer.span("serve.reload",
-                                      path=candidate) as span:
-            promoted = self._attempt_reload(candidate, span)
+                                      path=str(path)) as span:
+            promoted = self._attempt_reload(path, span)
             span.set_attr("promoted", promoted)
         return promoted
 
-    def _attempt_reload(self, candidate: str, span) -> bool:
-        from pathlib import Path
-
-        path = Path(candidate)
+    def _attempt_reload(self, path: Path, span) -> bool:
         try:
             mtime = path.stat().st_mtime
         except OSError:
             return False
-
-        def _mark_bad() -> None:
-            self._bad_paths[str(path)] = mtime
-
-        # 1. Read (transient OSErrors retry with backoff + jitter).
         try:
-            data = retry_with_backoff(
-                path.read_bytes, retries=self.retries, sleep=self._sleep,
+            checkpoint, candidate_model = admit_checkpoint(
+                path, self.model_factory, service=self.service,
+                golden=self.golden, retries=self.retries, sleep=self._sleep,
                 on_retry=lambda attempt, exc: self._emit(
                     "io_retry", path=str(path), attempt=attempt,
                     error=str(exc)))
@@ -216,35 +267,14 @@ class HotReloader:
             self._emit("error", path=str(path), error=str(exc))
             span.mark_error(exc)
             return False
-
-        # 2. Integrity.
-        try:
-            checkpoint = TrainingCheckpoint.from_bytes(data, source=str(path))
-        except CorruptCheckpointError as exc:
-            _mark_bad()
-            self._emit("corrupt", path=str(path), error=str(exc))
-            span.set_attr("outcome", "corrupt")
+        except CheckpointRefused as refused:
+            self._bad_paths[str(path)] = mtime
+            epoch = {} if refused.epoch is None else {"epoch": refused.epoch}
+            self._emit(refused.status, path=str(path), error=str(refused),
+                       **epoch)
+            span.set_attr("outcome", refused.status)
             return False
 
-        # 3. Load into a fresh instance + golden validation.
-        try:
-            candidate_model = self.model_factory()
-            candidate_model.load_state_dict(checkpoint.model_state)
-        except Exception as exc:  # mismatched architecture, bad shapes...
-            _mark_bad()
-            self._emit("corrupt", path=str(path), error=str(exc))
-            span.set_attr("outcome", "corrupt")
-            return False
-        if self.golden is not None:
-            reason = self.golden.check(self.service, candidate_model)
-            if reason is not None:
-                _mark_bad()
-                self._emit("golden_failed", path=str(path), error=reason,
-                           epoch=checkpoint.epoch)
-                span.set_attr("outcome", "golden_failed")
-                return False
-
-        # 4. Swap.
         version = f"epoch-{checkpoint.epoch:08d}"
         previous = self.service.swap_model(candidate_model, version)
         self._loaded_epoch = checkpoint.epoch
@@ -254,26 +284,9 @@ class HotReloader:
         span.set_attr("version", version)
         return True
 
-    # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin background polling (daemon thread; idempotent)."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-
-        def _loop() -> None:
-            while not self._stop.wait(self.interval_s):
-                try:
-                    self.poll_once()
-                except Exception as exc:  # never kill the serving process
-                    self._emit("error", error=str(exc))
-
-        self._thread = threading.Thread(target=_loop, name="hot-reloader",
-                                        daemon=True)
-        self._thread.start()
+        self.poller.start()
 
     def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None
+        self.poller.stop(timeout)

@@ -48,10 +48,11 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from ..backoff import RestartBackoff
 from ..obs.events import EventBus
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
-from .backoff import RestartBackoff
+from ..poller import Poller
 from .degradation import LEVEL_PRIOR
 from .errors import OverloadedError
 from .service import (BatchRequest, PredictionResponse, PredictionService,
@@ -288,8 +289,10 @@ class ReplicaPool:
         self._lock = threading.Lock()
         self._mirror: Optional[Callable[[Any, PredictionResponse], None]] \
             = None
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+        self.poller = Poller(
+            self.check_replicas, lambda: self.probe_interval_s,
+            lambda _exc: self.metrics.counter("pool.probe_errors").inc(),
+            "pool-prober")
         self.metrics.gauge("pool.size").set(len(self._replicas))
         self.metrics.gauge("pool.healthy").set(len(self._replicas))
 
@@ -692,26 +695,3 @@ class ReplicaPool:
         healthy = len(self.healthy_replicas())
         return {"ready": self.ready, "model_version": self.model_version,
                 "healthy": healthy, "replicas": len(self._replicas)}
-
-    def start(self) -> None:
-        """Begin background health probing (daemon thread; idempotent)."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-
-        def _loop() -> None:
-            while not self._stop.wait(self.probe_interval_s):
-                try:
-                    self.check_replicas()
-                except Exception:  # pragma: no cover — never kill serving
-                    self.metrics.counter("pool.probe_errors").inc()
-
-        self._thread = threading.Thread(target=_loop, name="pool-prober",
-                                        daemon=True)
-        self._thread.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None

@@ -60,10 +60,10 @@ from ..obs.events import EventBus
 from ..obs.metrics import MetricsRegistry
 from ..obs.monitor import psi
 from ..obs.tracing import Tracer
-from ..resilience.checkpoint import (CheckpointManager, CorruptCheckpointError,
-                                     TrainingCheckpoint)
-from .backoff import retry_with_backoff
-from .reload import GoldenSet
+from ..poller import Poller
+from ..resilience.checkpoint import CheckpointManager, TrainingCheckpoint
+from .reload import (CheckpointRefused, GoldenSet, admit_checkpoint,
+                     newest_candidate)
 from .replica import Replica, ReplicaPool
 from .service import PredictionResponse, STATUS_OK
 
@@ -262,17 +262,7 @@ def select_initial_checkpoint(manager: CheckpointManager,
         candidate = manifest.data.get("candidate")
         if candidate and manifest.stage == STAGE_MIRRORING:
             skip.add(str(candidate.get("path")))
-    for path in reversed(manager.checkpoints()):
-        if str(path) in skip:
-            continue
-        try:
-            return TrainingCheckpoint.load(path), path
-        except FileNotFoundError:
-            continue
-        except CorruptCheckpointError as exc:
-            if on_corrupt is not None:
-                on_corrupt(path, exc)
-    return None
+    return manager.latest_valid(on_corrupt, skip=skip)
 
 
 class CanaryController:
@@ -338,8 +328,10 @@ class CanaryController:
         self._candidate_checkpoint: Optional[TrainingCheckpoint] = None
         self._candidate_path: Optional[str] = None
         self._needs_resume = self.manifest.stage != STAGE_IDLE
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+        self.poller = Poller(
+            self.poll_once, lambda: self.interval_s,
+            lambda _exc: self.metrics.counter("rollout.poll_errors").inc(),
+            "canary-controller")
         pool.set_mirror(self.observe)
 
     # ------------------------------------------------------------------
@@ -430,15 +422,16 @@ class CanaryController:
             self._emit("resumed", interrupted_stage=stage, action="restage")
             return True
         # Interrupted mid-promote: evaluation already passed; finish it.
-        loaded = self._load_candidate(candidate["path"])
-        if loaded is None:
+        try:
+            self._candidate_checkpoint, _model = self._admit(candidate["path"])
+        except (OSError, CheckpointRefused):
             self.manifest.stage = STAGE_IDLE
             self.manifest.data["candidate"] = None
             self.manifest.record("resume_failed", path=candidate["path"])
             self.manifest.save()
             self._emit("resumed", interrupted_stage=stage, action="abandon")
             return True
-        self._candidate_checkpoint, self._candidate_path = loaded
+        self._candidate_path = candidate["path"]
         # The promoted set and canary id described the *previous*
         # process's replicas; this process's pool booted fresh, so
         # re-swap everyone (idempotent — same weights, same version).
@@ -447,35 +440,21 @@ class CanaryController:
         self._emit("resumed", interrupted_stage=stage, action="promote")
         return self._promote()
 
-    def _load_candidate(self, path: str
-                        ) -> Optional[Tuple[TrainingCheckpoint, str]]:
-        try:
-            data = retry_with_backoff(Path(path).read_bytes,
-                                      retries=self.retries,
-                                      sleep=self._sleep)
-            return (TrainingCheckpoint.from_bytes(data, source=path), path)
-        except (OSError, CorruptCheckpointError):
-            return None
+    def _admit(self, path: str, on_retry=None
+               ) -> Tuple[TrainingCheckpoint, CTRModel]:
+        return admit_checkpoint(
+            path, self.model_factory, service=self.pool.replicas[0].service,
+            golden=self.golden, retries=self.retries, sleep=self._sleep,
+            on_retry=on_retry)
 
     # -- detect ---------------------------------------------------------
-    def _newest_candidate(self) -> Optional[Tuple[str, int]]:
-        for path in reversed(self.manager.checkpoints()):
-            epoch = self.manager._epoch_of(path)
-            if epoch is None:
-                continue
-            if (self._loaded_epoch is not None
-                    and epoch <= self._loaded_epoch):
-                return None
-            if str(path) in self.manifest.bad_paths:
-                continue
-            return str(path), epoch
-        return None
-
     def _detect(self) -> bool:
-        found = self._newest_candidate()
+        found = newest_candidate(
+            self.manager, self._loaded_epoch,
+            lambda path: str(path) in self.manifest.bad_paths)
         if found is None:
             return False
-        path, epoch = found
+        path, epoch = str(found[0]), found[1]
         with self.tracer.span("serve.rollout", stage="detect",
                               path=path) as span:
             advanced = self._stage_candidate(path, epoch, span)
@@ -485,46 +464,23 @@ class CanaryController:
 
     def _stage_candidate(self, path: str, epoch: int, span) -> bool:
         self._emit("detected", path=path, epoch=epoch)
-        # 1. Read with retry + integrity.
         try:
-            data = retry_with_backoff(
-                Path(path).read_bytes, retries=self.retries,
-                sleep=self._sleep,
-                on_retry=lambda attempt, exc: self._emit(
+            checkpoint, candidate_model = self._admit(
+                path, on_retry=lambda attempt, exc: self._emit(
                     "io_retry", path=path, attempt=attempt, error=str(exc)))
         except OSError as exc:
             self._emit("error", path=path, error=str(exc))
             span.mark_error(exc)
             return False
-        try:
-            checkpoint = TrainingCheckpoint.from_bytes(data, source=path)
-        except CorruptCheckpointError as exc:
-            self.manifest.mark_bad(path, epoch, f"corrupt: {exc}")
-            self.manifest.record("refused", path=path, reason="corrupt")
+        except CheckpointRefused as refused:
+            self.manifest.mark_bad(path, epoch, f"{refused.kind}: {refused}")
+            self.manifest.record("refused", path=path, reason=refused.kind)
             self.manifest.save()
-            self._emit("corrupt", path=path, error=str(exc))
+            detail = {"epoch": epoch} if refused.kind == "golden" else {}
+            self._emit(refused.status, path=path, **detail,
+                       error=str(refused))
             return False
-        # 2. Fresh model + golden veto.
-        try:
-            candidate_model = self.model_factory()
-            candidate_model.load_state_dict(checkpoint.model_state)
-        except Exception as exc:  # noqa: BLE001 — bad shapes etc.
-            self.manifest.mark_bad(path, epoch, f"load_failed: {exc}")
-            self.manifest.record("refused", path=path, reason="load_failed")
-            self.manifest.save()
-            self._emit("corrupt", path=path, error=str(exc))
-            return False
-        if self.golden is not None:
-            probe = self.pool.replicas[0].service
-            reason = self.golden.check(probe, candidate_model)
-            if reason is not None:
-                self.manifest.mark_bad(path, epoch, f"golden: {reason}")
-                self.manifest.record("refused", path=path, reason="golden")
-                self.manifest.save()
-                self._emit("golden_failed", path=path, epoch=epoch,
-                           error=reason)
-                return False
-        # 3. Claim a canary slot (floor-respecting).
+        # Claim a canary slot (floor-respecting).
         canary = self.pool.begin_canary()
         if canary is None:
             # No spare capacity right now; try again next poll.
@@ -727,28 +683,3 @@ class CanaryController:
         self._verdict = None
         self._shadow.clear()
         self._seen = 0
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Begin background polling (daemon thread; idempotent)."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-
-        def _loop() -> None:
-            while not self._stop.wait(self.interval_s):
-                try:
-                    self.poll_once()
-                except Exception:  # pragma: no cover — never kill serving
-                    self.metrics.counter("rollout.poll_errors").inc()
-
-        self._thread = threading.Thread(target=_loop,
-                                        name="canary-controller",
-                                        daemon=True)
-        self._thread.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None

@@ -47,6 +47,7 @@ from ..obs.events import EventBus
 from ..obs.export import CONTENT_TYPE, render_prometheus
 from ..obs.metrics import MetricsRegistry
 from ..obs.monitor import DriftMonitor
+from ..poller import Poller
 from ..resilience.checkpoint import CheckpointManager
 from .batching import MicroBatcher
 from .degradation import CircuitBreaker
@@ -89,22 +90,18 @@ class ServingStack:
     pool: Optional[ReplicaPool] = None
     canary: Optional[CanaryController] = None
 
+    def _pollers(self) -> List[Poller]:
+        owners = (self.reloader, self.pool, self.canary)
+        return [owner.poller for owner in owners if owner is not None]
+
     def start_background(self) -> None:
         """Start every background loop this stack owns (idempotent)."""
-        if self.reloader is not None:
-            self.reloader.start()
-        if self.pool is not None:
-            self.pool.start()
-        if self.canary is not None:
-            self.canary.start()
+        for poller in self._pollers():
+            poller.start()
 
     def stop_background(self) -> None:
-        if self.canary is not None:
-            self.canary.stop()
-        if self.pool is not None:
-            self.pool.stop()
-        if self.reloader is not None:
-            self.reloader.stop()
+        for poller in reversed(self._pollers()):
+            poller.stop()
 
     def poll_inline(self) -> None:
         """Drive background work inline when no threads are running.
@@ -112,12 +109,9 @@ class ServingStack:
         The stdio transport calls this before each batch, so tests that
         start no background threads stay deterministic.
         """
-        if self.reloader is not None and self.reloader._thread is None:
-            self.reloader.poll_once()
-        if self.pool is not None and self.pool._thread is None:
-            self.pool.check_replicas()
-        if self.canary is not None and self.canary._thread is None:
-            self.canary.poll_once()
+        for poller in self._pollers():
+            if not poller.running:
+                poller.step()
 
 
 def parse_injections(specs: Optional[List[str]]) -> Dict[str, float]:
@@ -296,6 +290,9 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
                      "requests")
     version = ("initial" if loaded_epoch is None
                else f"epoch-{loaded_epoch:08d}")
+    # The veto both checkpoint watchers apply before serving new weights.
+    golden = GoldenSet(list(valid_requests(bundle.full.schema,
+                                           count=golden_requests)))
 
     if replicas == 1:
         # Chaos injection wrappers (outermost wins the scoring call).
@@ -311,8 +308,6 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
 
         reloader = None
         if manager is not None:
-            golden = GoldenSet(list(valid_requests(bundle.full.schema,
-                                                   count=golden_requests)))
             reloader = HotReloader(service, manager, model_factory,
                                    golden=golden,
                                    interval_s=reload_interval_s,
@@ -374,8 +369,6 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
 
     canary = None
     if manager is not None and (canary_mirror is None or canary_mirror > 0):
-        golden = GoldenSet(list(valid_requests(bundle.full.schema,
-                                               count=golden_requests)))
         policy = (RolloutPolicy() if canary_mirror is None
                   else RolloutPolicy(mirror_fraction=canary_mirror))
         canary = CanaryController(pool, manager, model_factory,

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.serving import RestartBackoff, backoff_delays, retry_with_backoff
+from repro.backoff import (RestartBackoff, backoff_delays, capped_delay,
+                           retry_with_backoff)
 
 
 class TestBackoffDelays:
@@ -33,12 +34,10 @@ class TestBackoffDelays:
             list(backoff_delays(-1))
         with pytest.raises(ValueError):
             list(backoff_delays(1, jitter=1.0))
-        with pytest.raises(ValueError):
-            list(backoff_delays(1, mode="half"))
 
 
 class TestFullJitter:
-    """Property tests for mode="full" over a sweep of parameter sets."""
+    """Property tests for RestartBackoff over a sweep of parameter sets."""
 
     PARAMS = [
         dict(base_delay=0.05, factor=2.0, max_delay=2.0),
@@ -50,9 +49,8 @@ class TestFullJitter:
     @pytest.mark.parametrize("params", PARAMS)
     @pytest.mark.parametrize("seed", [0, 1, 7, 42])
     def test_every_delay_within_its_cap(self, params, seed):
-        rng = np.random.default_rng(seed)
-        delays = list(backoff_delays(20, mode="full", rng=rng, **params))
-        assert len(delays) == 20
+        backoff = RestartBackoff(rng=np.random.default_rng(seed), **params)
+        delays = [backoff.next_delay() for _ in range(20)]
         for i, delay in enumerate(delays):
             cap = min(params["base_delay"] * params["factor"] ** i,
                       params["max_delay"])
@@ -60,33 +58,25 @@ class TestFullJitter:
 
     @pytest.mark.parametrize("params", PARAMS)
     def test_caps_are_monotone_then_flat(self, params):
-        caps = [min(params["base_delay"] * params["factor"] ** i,
-                    params["max_delay"]) for i in range(20)]
+        caps = [capped_delay(params["base_delay"], i, params["max_delay"],
+                             params["factor"]) for i in range(20)]
         assert all(a <= b for a, b in zip(caps, caps[1:]))
         assert caps[-1] == params["max_delay"]
 
     @pytest.mark.parametrize("seed", [0, 3, 99])
     def test_deterministic_under_injected_rng(self, seed):
-        a = list(backoff_delays(10, mode="full",
-                                rng=np.random.default_rng(seed)))
-        b = list(backoff_delays(10, mode="full",
-                                rng=np.random.default_rng(seed)))
-        assert a == b
-
-    def test_jitter_parameter_is_ignored_in_full_mode(self):
-        a = list(backoff_delays(10, mode="full", jitter=0.0,
-                                rng=np.random.default_rng(5)))
-        b = list(backoff_delays(10, mode="full", jitter=0.9,
-                                rng=np.random.default_rng(5)))
-        assert a == b
+        a = RestartBackoff(rng=np.random.default_rng(seed))
+        b = RestartBackoff(rng=np.random.default_rng(seed))
+        assert [a.next_delay() for _ in range(10)] \
+            == [b.next_delay() for _ in range(10)]
 
     def test_full_mode_spreads_wider_than_equal(self):
         # Full jitter can land anywhere in [0, cap]; equal jitter stays
         # in [cap/2, 3cap/2] at jitter=0.5.  With one shared cap the two
         # supports differ below cap/2.
-        rng = np.random.default_rng(0)
-        full = list(backoff_delays(500, base_delay=1.0, factor=1.0,
-                                   max_delay=1.0, mode="full", rng=rng))
+        backoff = RestartBackoff(base_delay=1.0, factor=1.0, max_delay=1.0,
+                                 rng=np.random.default_rng(0))
+        full = [backoff.next_delay() for _ in range(500)]
         assert min(full) < 0.5
         rng = np.random.default_rng(0)
         equal = list(backoff_delays(500, base_delay=1.0, factor=1.0,

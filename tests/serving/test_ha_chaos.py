@@ -3,9 +3,10 @@
 A 3-replica pool under pipelined load survives (a) one replica wedging
 mid-stream and (b) a poisoned checkpoint pushed through the canary
 path — with zero user-visible errors beyond typed ``degraded`` answers,
-the rollback recorded in the manifest, and (separately, via real
-``repro serve`` subprocesses) bit-for-bit parity between
-``--replicas 1 --hedge-ms 0`` and the single-instance path.
+the rollback recorded in the manifest — and bit-for-bit parity over
+real sockets between a pool of one with hedging off and the bare
+service.  ``build_serving_stack`` builds the bare service whenever
+``--replicas 1``, so the pool of one is built in-process here.
 """
 
 import json
@@ -28,6 +29,7 @@ from repro.serving import (GoldenSet, ReplicaPool, RestartBackoff,
 from repro.serving.faults import (CheckpointSwapper, PoisonedCheckpoint,
                                   valid_requests, wedge_replica)
 from repro.serving.rollout import CanaryController, STAGE_IDLE
+from repro.serving.server import ServingStack, SocketServer
 
 pytestmark = pytest.mark.serving
 
@@ -174,27 +176,30 @@ def shutdown(proc, host, port):
 
 
 class TestPoolOfOneParity:
-    def test_replicas_1_hedge_0_matches_single_instance(self):
-        """The differential guarantee at the CLI boundary: a pool of one
-        with hedging off answers bit-for-bit like the plain service."""
+    def test_replicas_1_hedge_0_matches_single_instance(self, make_service):
+        """The differential guarantee over real sockets: a pool of one
+        with hedging off answers bit-for-bit like the bare service."""
         requests = [{"features": {"field_0": i % 4, "field_1": i % 3},
                      "request_id": f"p{i}"} for i in range(8)]
         requests.append({"features": {"no_such_field": 1},
                          "request_id": "bad"})
 
-        single_proc, host, port = start_server()
-        try:
-            single = rpc(host, port, requests)
-        finally:
-            shutdown(single_proc, host, port)
+        pool = ReplicaPool([make_service()], hedge_ms=0.0)
+        stacks = [ServingStack(service=make_service(), reloader=None,
+                               model_name="lr", dataset="test"),
+                  ServingStack(service=pool, reloader=None, model_name="lr",
+                               dataset="test", pool=pool)]
+        answers = []
+        for stack in stacks:
+            server = SocketServer(stack)
+            host, port = server.start()
+            try:
+                answers.append(rpc(host, port, requests))
+            finally:
+                server.shutdown()
+        single, pooled = answers
 
-        pool_proc, host, port = start_server("--replicas", "1",
-                                             "--hedge-ms", "0")
-        try:
-            pooled = rpc(host, port, requests)
-        finally:
-            shutdown(pool_proc, host, port)
-
+        assert len(single) == len(pooled) == len(requests)
         for a, b in zip(single, pooled):
             assert a["status"] == b["status"]
             assert a["request_id"] == b["request_id"]

@@ -339,7 +339,7 @@ class TestBackgroundThread:
         finally:
             reloader.stop()
         assert service.model_version == "epoch-00000001"
-        assert reloader._thread is None
+        assert not reloader.poller.running
 
 
 class TestReloadSpans:
