@@ -37,10 +37,11 @@ from ..nn.losses import binary_cross_entropy_with_logits
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor, concatenate
 from ..training.history import EpochRecord, History
-from ..training.trainer import Trainer, evaluate_model
+from ..training.trainer import (Trainer, evaluate_model, guarded_backward,
+                                mean_loss)
 from .architecture import Architecture, Method
 from .combination import CombinationBlock
-from .search import SearchConfig, _annealed_temperature
+from .search import SearchConfig, _annealed_temperature, table_iv_groups
 
 
 class HigherOrderOptInter(CTRModel):
@@ -277,20 +278,11 @@ def search_higher_order(train: CTRDataset, val: Optional[CTRDataset],
         temperature=config.temperature_start,
         rng=rng,
     )
-    cross_tables = [t.table.weight for t in (model.pair_cross,
-                                             model.triple_cross)
-                    if t is not None]
-    cross_ids = {id(p) for p in cross_tables}
-    alpha_ids = {id(p) for p in model.architecture_parameters()}
-    other = [p for p in model.parameters()
-             if id(p) not in cross_ids and id(p) not in alpha_ids]
-    optimizer = Adam([
-        {"params": other, "lr": config.lr},
-        {"params": cross_tables, "lr": config.lr,
-         "weight_decay": config.l2_cross},
-        {"params": model.architecture_parameters(), "lr": config.lr_arch},
-    ])
+    optimizer = Adam(table_iv_groups(
+        model, [model.pair_cross, model.triple_cross], config.lr,
+        config.l2_cross, config.lr_arch))
     history = History()
+    step = 0
     for epoch in range(config.epochs):
         model.set_temperature(_annealed_temperature(config, epoch))
         model.train()
@@ -299,10 +291,11 @@ def search_higher_order(train: CTRDataset, val: Optional[CTRDataset],
                                         rng=rng):
             optimizer.zero_grad()
             loss = binary_cross_entropy_with_logits(model(batch), batch.y)
-            loss.backward()
+            losses.append(guarded_backward(loss, None, epoch=epoch,
+                                           step=step))
             optimizer.step()
-            losses.append(loss.item())
-        record = EpochRecord(epoch=epoch, train_loss=float(np.mean(losses)))
+            step += 1
+        record = EpochRecord(epoch=epoch, train_loss=mean_loss(losses))
         if val is not None and len(val) > 0:
             metrics = evaluate_model(model, val)
             record.val_auc = metrics["auc"]
@@ -334,16 +327,10 @@ def retrain_higher_order(pair_architecture: Architecture,
         triple_architecture=triple_architecture,
         rng=rng,
     )
-    cross_tables = [t.table.weight for t in (model.pair_cross,
-                                             model.triple_cross)
-                    if t is not None]
-    cross_ids = {id(p) for p in cross_tables}
-    groups = [{"params": [p for p in model.parameters()
-                          if id(p) not in cross_ids], "lr": config.lr}]
-    if cross_tables:
-        groups.append({"params": cross_tables, "lr": config.lr,
-                       "weight_decay": config.l2_cross})
-    trainer = Trainer(model, Adam(groups), batch_size=config.batch_size,
+    optimizer = Adam(table_iv_groups(
+        model, [model.pair_cross, model.triple_cross], config.lr,
+        config.l2_cross))
+    trainer = Trainer(model, optimizer, batch_size=config.batch_size,
                       max_epochs=epochs, patience=patience, rng=rng)
     history = trainer.fit(train, val)
     return model, history

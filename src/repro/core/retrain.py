@@ -24,7 +24,8 @@ from ..training.history import History
 from ..training.trainer import Trainer
 from .architecture import Architecture
 from .optinter import OptInterModel
-from .search import SearchConfig, SearchResult, search_optinter
+from .search import (SearchConfig, SearchResult, search_optinter,
+                     table_iv_groups)
 
 
 @dataclass
@@ -94,15 +95,8 @@ def retrain(architecture: Architecture, train: CTRDataset,
     """
     rng = np.random.default_rng(config.seed)
     model = build_fixed_model(architecture, train, config, rng=rng)
-    cross_params = ([model.cross_embedding.table.weight]
-                    if model.cross_embedding is not None else [])
-    cross_ids = {id(p) for p in cross_params}
-    groups = [{"params": [p for p in model.parameters()
-                          if id(p) not in cross_ids], "lr": config.lr}]
-    if cross_params:
-        groups.append({"params": cross_params, "lr": config.lr,
-                       "weight_decay": config.l2_cross})
-    optimizer = Adam(groups)
+    optimizer = Adam(table_iv_groups(model, [model.cross_embedding],
+                                     config.lr, config.l2_cross))
     trainer = Trainer(model, optimizer, batch_size=config.batch_size,
                       max_epochs=config.epochs, patience=config.patience,
                       rng=rng, verbose=verbose, bus=bus, recovery=recovery,
@@ -129,8 +123,6 @@ def run_optinter(train: CTRDataset, val: Optional[CTRDataset],
     (marker file present) skips straight to resuming the re-train, in
     which case the returned result's ``search`` field is ``None``.
     """
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume=True requires checkpoint_dir")
     search_config = search_config or SearchConfig()
     retrain_config = retrain_config or RetrainConfig(
         embed_dim=search_config.embed_dim,

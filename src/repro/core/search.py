@@ -13,46 +13,30 @@ Three ways to obtain an architecture:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..data.dataset import CTRDataset
 from ..fsutil import PathLike
 from ..nn.losses import binary_cross_entropy_with_logits
+from ..nn.module import Module
 from ..nn.optim import Adam
-from ..obs.events import ConsoleSink, EventBus
+from ..obs.events import EventBus
 from ..obs.tracing import Tracer
 from ..resilience.checkpoint import CheckpointManager, TrainingCheckpoint
 from ..resilience.recovery import DivergenceGuard, RecoveryPolicy
 from ..training.history import EpochRecord, History
-from ..training.trainer import evaluate_model, non_finite_loss_error
+from ..training.trainer import (EventFanout, evaluate_model,
+                                guarded_backward, mean_loss, resume_latest,
+                                save_checkpoint)
 from .architecture import Architecture
 from .optinter import OptInterModel
 
 
-def _search_buses(config: "SearchConfig",
-                  bus: Optional[EventBus]) -> List[EventBus]:
-    """Event fan-out: the caller's bus plus a console bus when verbose."""
-    buses: List[EventBus] = []
-    if bus is not None:
-        buses.append(bus)
-    if config.verbose:
-        buses.append(EventBus([ConsoleSink()]))
-    return buses
-
-
-def _bus_emitter(buses: List[EventBus]):
-    """A ``(type, **payload)`` emitter fanning out to every bus."""
-    def emit(event_type: str, **payload) -> None:
-        for bus in buses:
-            bus.emit(event_type, **payload)
-    return emit
-
-
-def _emit_search_epoch(buses: List[EventBus], model: OptInterModel,
+def _emit_search_epoch(emit: EventFanout, model: OptInterModel,
                        record: EpochRecord, temperature: float,
                        stage: str) -> None:
     """Publish the per-epoch α snapshot and epoch metrics.
@@ -62,19 +46,18 @@ def _emit_search_epoch(buses: List[EventBus], model: OptInterModel,
     selection-probability trajectory (paper Table VI / Figure 5) from a
     trace file alone, without the model.
     """
-    if not buses:
+    if not emit.buses:
         return
     architecture = model.derive_architecture()
-    for bus in buses:
-        bus.emit("search_alpha",
-                 stage=stage,
-                 epoch=record.epoch,
-                 temperature=temperature,
-                 alpha=model.combination.alpha.data,
-                 probabilities=model.combination.probabilities(),
-                 methods=[m.value for m in architecture],
-                 counts=architecture.counts())
-        bus.emit("epoch_end", stage=stage, **record.as_dict())
+    emit("search_alpha",
+         stage=stage,
+         epoch=record.epoch,
+         temperature=temperature,
+         alpha=model.combination.alpha.data,
+         probabilities=model.combination.probabilities(),
+         methods=[m.value for m in architecture],
+         counts=architecture.counts())
+    emit("epoch_end", stage=stage, **record.as_dict())
 
 
 @dataclass
@@ -111,6 +94,12 @@ class SearchResult:
     history: History
     model: OptInterModel
 
+    @classmethod
+    def of(cls, model: OptInterModel, history: History) -> "SearchResult":
+        """The searched model with its argmax decode and final α."""
+        return cls(model.derive_architecture(),
+                   model.combination.alpha.data.copy(), history, model)
+
 
 def _annealed_temperature(config: SearchConfig, epoch: int) -> float:
     """Exponential decay from temperature_start to temperature_end."""
@@ -137,28 +126,28 @@ def _build_search_model(train: CTRDataset, config: SearchConfig,
     )
 
 
-def _parameter_groups(model: OptInterModel, config: SearchConfig):
-    """Adam groups mirroring Table IV: the cross-product embedding table gets
-    its own L2 penalty (l2_c); α gets its own learning rate (lr_a)."""
-    cross_params = ([model.cross_embedding.table.weight]
-                    if model.cross_embedding is not None else [])
-    cross_ids = {id(p) for p in cross_params}
-    alpha_ids = {id(p) for p in model.architecture_parameters()}
-    other = [p for p in model.parameters()
-             if id(p) not in cross_ids and id(p) not in alpha_ids]
-    groups = [{"params": other, "lr": config.lr}]
+def table_iv_groups(model: Module, cross_embeddings: Sequence,
+                    lr: float, l2_cross: float,
+                    lr_arch: Optional[float] = None) -> List[Dict]:
+    """Adam groups mirroring Table IV: the network at ``lr`` (lr_o / lr_c),
+    the cross-product embedding tables (``None`` entries skipped) with
+    their own L2 penalty (l2_c), and α at ``lr_arch`` (lr_a).
+
+    Without ``lr_arch`` α is left out (the bi-level search steps it with
+    its own optimizer).  Group and parameter order are part of the Adam
+    state and checkpoint layout.
+    """
+    cross_params = [e.table.weight for e in cross_embeddings if e is not None]
+    alpha = model.architecture_parameters()
+    skip = {id(p) for p in cross_params + alpha}
+    groups = [{"params": [p for p in model.parameters() if id(p) not in skip],
+               "lr": lr}]
     if cross_params:
-        groups.append({"params": cross_params, "lr": config.lr,
-                       "weight_decay": config.l2_cross})
-    if alpha_ids:
-        groups.append({"params": model.architecture_parameters(),
-                       "lr": config.lr_arch})
+        groups.append({"params": cross_params, "lr": lr,
+                       "weight_decay": l2_cross})
+    if alpha and lr_arch is not None:
+        groups.append({"params": alpha, "lr": lr_arch})
     return groups
-
-
-def _mean_loss(losses: List[float]) -> float:
-    """An epoch's mean batch loss; NaN when the guard skipped every batch."""
-    return float(np.mean(losses)) if losses else float("nan")
 
 
 def search_optinter(train: CTRDataset, val: Optional[CTRDataset],
@@ -187,27 +176,21 @@ def search_optinter(train: CTRDataset, val: Optional[CTRDataset],
         raise ValueError("resume=True requires checkpoint_dir")
     rng = np.random.default_rng(config.seed)
     model = _build_search_model(train, config, rng)
-    optimizer = Adam(_parameter_groups(model, config))
+    optimizer = Adam(table_iv_groups(model, [model.cross_embedding],
+                                     config.lr, config.l2_cross,
+                                     config.lr_arch))
     history = History()
-    buses = _search_buses(config, bus)
-    emit = _bus_emitter(buses)
+    emit = EventFanout(bus, config.verbose)
     manager = (CheckpointManager(Path(checkpoint_dir), keep_last=keep_last)
                if checkpoint_dir is not None else None)
     step = 0
     start_epoch = 0
     if manager is not None and resume:
-        loaded = manager.latest_valid(
-            on_corrupt=lambda path, error: emit(
-                "recovery", action="fallback", path=str(path),
-                error=str(error)))
-        if loaded is not None:
-            checkpoint, path = loaded
-            checkpoint.restore(model, optimizer, rng=rng)
+        checkpoint = resume_latest(manager, model, optimizer, rng, emit)
+        if checkpoint is not None:
             history = checkpoint.history
             step = checkpoint.global_step
             start_epoch = checkpoint.epoch + 1
-            emit("recovery", action="resume", epoch=checkpoint.epoch,
-                 global_step=step, path=str(path))
     guard = None
     if recovery is not None:
         def _rewind(extras):
@@ -216,8 +199,7 @@ def search_optinter(train: CTRDataset, val: Optional[CTRDataset],
         guard = DivergenceGuard(recovery, model, optimizer, emit=emit,
                                 on_rollback=_rewind)
         guard.record_good(extras={"step": step})
-    if tracer is None:
-        tracer = Tracer(emit=emit) if buses else Tracer()
+    tracer = emit.tracer(tracer)
     with tracer.span("search.run", stage="search",
                      epochs=config.epochs) as run_span:
         for epoch in range(start_epoch, config.epochs):
@@ -232,27 +214,15 @@ def search_optinter(train: CTRDataset, val: Optional[CTRDataset],
                     optimizer.zero_grad()
                     loss = binary_cross_entropy_with_logits(model(batch),
                                                             batch.y)
-                    value = loss.item()
-                    if guard is not None:
-                        if not guard.loss_ok(value):
-                            guard.strike("non_finite_loss", stage="search",
-                                         epoch=epoch, step=step, loss=value)
-                            continue
-                        loss.backward()
-                        if not guard.gradients_ok():
-                            guard.strike("non_finite_gradient",
-                                         stage="search", epoch=epoch,
-                                         step=step, loss=value)
-                            continue
-                    else:
-                        if not np.isfinite(value):
-                            raise non_finite_loss_error(value, epoch, step)
-                        loss.backward()
+                    value = guarded_backward(loss, guard, epoch=epoch,
+                                             step=step, stage="search")
+                    if value is None:
+                        continue
                     optimizer.step()
                     losses.append(value)
                     step += 1
                 record = EpochRecord(epoch=epoch,
-                                     train_loss=_mean_loss(losses))
+                                     train_loss=mean_loss(losses))
                 if val is not None and len(val) > 0:
                     metrics = evaluate_model(model, val)
                     record.val_auc = metrics["auc"]
@@ -261,24 +231,17 @@ def search_optinter(train: CTRDataset, val: Optional[CTRDataset],
                 # The α snapshot is the search's decision step — its own
                 # span so a trace shows where selection time goes.
                 with tracer.span("search.alpha_update", epoch=epoch):
-                    _emit_search_epoch(buses, model, record, temperature,
+                    _emit_search_epoch(emit, model, record, temperature,
                                        stage="search")
                 epoch_span.set_attr("train_loss", record.train_loss)
             if manager is not None:
-                path = manager.save(TrainingCheckpoint.capture(
+                save_checkpoint(manager, TrainingCheckpoint.capture(
                     model, optimizer, epoch=epoch, global_step=step, rng=rng,
-                    history=history))
-                emit("checkpoint", epoch=epoch, global_step=step,
-                     path=str(path))
+                    history=history), emit)
             if guard is not None:
                 guard.record_good(extras={"step": step})
         run_span.set_attr("steps", step)
-    return SearchResult(
-        architecture=model.derive_architecture(),
-        alpha=model.combination.alpha.data.copy(),
-        history=history,
-        model=model,
-    )
+    return SearchResult.of(model, history)
 
 
 def search_bilevel(train: CTRDataset, val: CTRDataset,
@@ -298,10 +261,8 @@ def search_bilevel(train: CTRDataset, val: CTRDataset,
         raise ValueError("bi-level search needs a non-empty validation set")
     rng = np.random.default_rng(config.seed)
     model = _build_search_model(train, config, rng)
-    alpha_ids = {id(p) for p in model.architecture_parameters()}
-    theta_groups = [g for g in _parameter_groups(model, config)
-                    if not any(id(p) in alpha_ids for p in g["params"])]
-    theta_opt = Adam(theta_groups)
+    theta_opt = Adam(table_iv_groups(model, [model.cross_embedding],
+                                     config.lr, config.l2_cross))
     alpha_opt = Adam(model.architecture_parameters(), lr=config.lr_arch)
     history = History()
 
@@ -310,16 +271,14 @@ def search_bilevel(train: CTRDataset, val: CTRDataset,
             yield from val.iter_batches(config.batch_size, shuffle=True, rng=rng)
 
     val_stream = _val_batches()
-    buses = _search_buses(config, bus)
-    emit = _bus_emitter(buses)
+    emit = EventFanout(bus, config.verbose)
     guard = None
     step = 0
     if recovery is not None:
         guard = DivergenceGuard(recovery, model, [theta_opt, alpha_opt],
                                 emit=emit)
         guard.record_good()
-    if tracer is None:
-        tracer = Tracer(emit=emit) if buses else Tracer()
+    tracer = emit.tracer(tracer)
     with tracer.span("search.run", stage="bilevel",
                      epochs=config.epochs):
         for epoch in range(config.epochs):
@@ -335,64 +294,37 @@ def search_bilevel(train: CTRDataset, val: CTRDataset,
                     model.zero_grad()
                     loss = binary_cross_entropy_with_logits(model(batch),
                                                             batch.y)
-                    value = loss.item()
-                    if guard is None and not np.isfinite(value):
-                        raise non_finite_loss_error(value, epoch, step)
-                    if guard is not None and not guard.loss_ok(value):
-                        guard.strike("non_finite_loss", stage="bilevel",
-                                     level="theta", epoch=epoch, step=step,
-                                     loss=value)
-                    else:
-                        loss.backward()
-                        if guard is not None and not guard.gradients_ok():
-                            guard.strike("non_finite_gradient",
-                                         stage="bilevel", level="theta",
-                                         epoch=epoch, step=step, loss=value)
-                        else:
-                            theta_opt.step()
-                            losses.append(value)
+                    value = guarded_backward(loss, guard, epoch=epoch,
+                                             step=step, stage="bilevel",
+                                             level="theta")
+                    if value is not None:
+                        theta_opt.step()
+                        losses.append(value)
                     # Upper level: architecture parameters on a validation
                     # batch.
                     val_batch = next(val_stream)
                     model.zero_grad()
                     val_loss = binary_cross_entropy_with_logits(
                         model(val_batch), val_batch.y)
-                    val_value = val_loss.item()
-                    if guard is None and not np.isfinite(val_value):
-                        raise non_finite_loss_error(val_value, epoch, step,
-                                                    "validation")
-                    if guard is not None and not guard.loss_ok(val_value):
-                        guard.strike("non_finite_loss", stage="bilevel",
-                                     level="alpha", epoch=epoch, step=step,
-                                     loss=val_value)
-                    else:
-                        val_loss.backward()
-                        if guard is not None and not guard.gradients_ok():
-                            guard.strike("non_finite_gradient",
-                                         stage="bilevel", level="alpha",
-                                         epoch=epoch, step=step,
-                                         loss=val_value)
-                        else:
-                            alpha_opt.step()
+                    if guarded_backward(val_loss, guard, epoch=epoch,
+                                        step=step, split="validation",
+                                        stage="bilevel",
+                                        level="alpha") is not None:
+                        alpha_opt.step()
                     step += 1
                 record = EpochRecord(epoch=epoch,
-                                     train_loss=_mean_loss(losses))
+                                     train_loss=mean_loss(losses))
                 metrics = evaluate_model(model, val)
                 record.val_auc = metrics["auc"]
                 record.val_log_loss = metrics["log_loss"]
                 history.append(record)
                 with tracer.span("search.alpha_update", epoch=epoch):
-                    _emit_search_epoch(buses, model, record, temperature,
+                    _emit_search_epoch(emit, model, record, temperature,
                                        stage="bilevel")
                 epoch_span.set_attr("train_loss", record.train_loss)
             if guard is not None:
                 guard.record_good()
-    return SearchResult(
-        architecture=model.derive_architecture(),
-        alpha=model.combination.alpha.data.copy(),
-        history=history,
-        model=model,
-    )
+    return SearchResult.of(model, history)
 
 
 def random_architecture(num_pairs: int,

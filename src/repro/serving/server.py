@@ -204,8 +204,8 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
                 "dataset/scale/samples must match the training run")
 
     # Initial weights: explicit .npz beats checkpoint dir beats random.
-    # In pool mode the pick consults the rollout manifest, so a restart
-    # after an interrupted canary never boots the fleet on an
+    # The pick consults the rollout manifest at every replica count, so
+    # a restart after an interrupted canary never boots on an
     # unpromoted or rolled-back checkpoint.
     manager = None
     manifest_path: Optional[Path] = None
@@ -218,12 +218,9 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
     if checkpoint_dir is not None:
         manager = CheckpointManager(checkpoint_dir)
         manifest_path = Path(manager.directory) / MANIFEST_NAME
+        manifest = RolloutManifest.load(manifest_path)
         if weights is None:
-            if replicas > 1:
-                loaded = select_initial_checkpoint(
-                    manager, RolloutManifest.load(manifest_path))
-            else:
-                loaded = manager.latest_valid()
+            loaded = select_initial_checkpoint(manager, manifest)
             if loaded is not None:
                 checkpoint, path = loaded
                 model.load_state_dict(checkpoint.model_state)
@@ -313,6 +310,12 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
                                    interval_s=reload_interval_s,
                                    bus=bus)
             reloader._loaded_epoch = loaded_epoch
+            # Checkpoints a pool rolled back stay refused here too.
+            for bad in manifest.bad_paths:
+                try:
+                    reloader._bad_paths[bad] = Path(bad).stat().st_mtime
+                except OSError:
+                    pass
         return ServingStack(service=service, reloader=reloader,
                             model_name=model_name, dataset=dataset,
                             notes=notes)

@@ -23,11 +23,17 @@ the loop survives non-finite losses/gradients by skipping the poisoned
 batch and, past a strike budget, rolling back to the last good state
 with the learning rate halved; every skip/rollback/resume emits a
 ``recovery`` event.
+
+The search loops of :mod:`repro.core` share these policies through the
+module-level helpers: :func:`guarded_backward` (the per-batch non-finite
+check), :func:`mean_loss`, :class:`EventFanout`, :func:`resume_latest`
+and :func:`save_checkpoint`.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -38,6 +44,7 @@ from ..fsutil import PathLike
 from ..nn.losses import binary_cross_entropy_with_logits
 from ..nn.module import Module
 from ..nn.optim import Optimizer
+from ..nn.tensor import Tensor
 from ..obs.events import ConsoleSink, EventBus
 from ..obs.tracing import Tracer
 from ..resilience.checkpoint import CheckpointManager, TrainingCheckpoint
@@ -82,6 +89,85 @@ def non_finite_loss_error(value: float, epoch: int, step: int,
         f"non-finite {split} loss ({value}) at epoch {epoch}, global step "
         f"{step}; lower the learning rate or inspect the input data"
     )
+
+
+def mean_loss(losses: List[float]) -> float:
+    """An epoch's mean batch loss; NaN when the guard skipped every batch."""
+    return float(np.mean(losses)) if losses else float("nan")
+
+
+def guarded_backward(loss: Tensor, guard: Optional[DivergenceGuard], *,
+                     epoch: int, step: int, split: str = "training",
+                     after_backward: Optional[Callable[[], None]] = None,
+                     **labels) -> Optional[float]:
+    """One batch's backward pass; the loss value, or ``None`` if struck.
+
+    A non-finite loss raises without a guard and is a strike with one;
+    so are non-finite gradients after ``after_backward`` (fault hooks).
+    ``labels`` lead each strike's payload.  The caller owns ``zero_grad``
+    and the optimizer step.
+    """
+    value = loss.item()
+    if not np.isfinite(value):
+        if guard is None:
+            raise non_finite_loss_error(value, epoch, step, split)
+        guard.strike("non_finite_loss", **labels, epoch=epoch, step=step,
+                     loss=value)
+        return None
+    loss.backward()
+    if after_backward is not None:
+        after_backward()
+    if guard is not None and not guard.gradients_ok():
+        guard.strike("non_finite_gradient", **labels, epoch=epoch,
+                     step=step, loss=value)
+        return None
+    return value
+
+
+class EventFanout:
+    """Emitter fanning out to the caller's bus plus a console bus when
+    verbose; :meth:`tracer` sends spans through the same buses."""
+
+    def __init__(self, bus: Optional[EventBus], verbose: bool) -> None:
+        self.buses: List[EventBus] = [] if bus is None else [bus]
+        if verbose:
+            self.buses.append(EventBus([ConsoleSink()]))
+
+    def __call__(self, event_type: str, **payload) -> None:
+        for bus in self.buses:
+            bus.emit(event_type, **payload)
+
+    def tracer(self, tracer: Optional[Tracer] = None) -> Tracer:
+        """``tracer`` if given (deterministic clock/ids), else a default."""
+        if tracer is not None:
+            return tracer
+        return Tracer(emit=self) if self.buses else Tracer()
+
+
+def resume_latest(manager: CheckpointManager, model: Module,
+                  optimizer: Optimizer, rng: np.random.Generator,
+                  emit: Callable[..., None]
+                  ) -> Optional[TrainingCheckpoint]:
+    """Restore the newest valid checkpoint (``recovery`` events for each
+    corrupt one skipped and the resume); returns it or ``None``."""
+    loaded = manager.latest_valid(on_corrupt=lambda path, error: emit(
+        "recovery", action="fallback", path=str(path), error=str(error)))
+    if loaded is None:
+        return None
+    checkpoint, path = loaded
+    checkpoint.restore(model, optimizer, rng=rng)
+    emit("recovery", action="resume", epoch=checkpoint.epoch,
+         global_step=checkpoint.global_step, path=str(path))
+    return checkpoint
+
+
+def save_checkpoint(manager: CheckpointManager,
+                    checkpoint: TrainingCheckpoint,
+                    emit: Callable[..., None]) -> None:
+    """Write ``checkpoint`` atomically and emit its ``checkpoint`` event."""
+    path = manager.save(checkpoint)
+    emit("checkpoint", epoch=checkpoint.epoch,
+         global_step=checkpoint.global_step, path=str(path))
 
 
 class Trainer:
@@ -151,24 +237,14 @@ class Trainer:
             CheckpointManager(Path(checkpoint_dir), keep_last=keep_last)
             if checkpoint_dir is not None else None)
         self._global_step = 0
-        self._buses: List[EventBus] = []
-        if bus is not None:
-            self._buses.append(bus)
-        if verbose:
-            self._buses.append(EventBus([ConsoleSink()]))
         # Spans fan out through the same buses as plain events, so the
-        # trace file carries both; an explicit tracer (deterministic
-        # clock/ids) wins over the default.
-        self.tracer = tracer if tracer is not None else (
-            Tracer(emit=self._emit) if self._buses else Tracer())
+        # trace file carries both.
+        self._emit = EventFanout(bus, verbose)
+        self.tracer = self._emit.tracer(tracer)
         self._guard: Optional[DivergenceGuard] = (
             DivergenceGuard(recovery, model, optimizer, emit=self._emit,
                             on_rollback=self._rewind)
             if recovery is not None else None)
-
-    def _emit(self, event_type: str, **payload) -> None:
-        for bus in self._buses:
-            bus.emit(event_type, **payload)
 
     def _rewind(self, extras: Dict) -> None:
         """Rollback callback: rewind counters stored with the snapshot."""
@@ -212,20 +288,11 @@ class Trainer:
             self.optimizer.zero_grad()
             logits = self.model(batch)
             loss = binary_cross_entropy_with_logits(logits, batch.y)
-            value = loss.item()
-            if not np.isfinite(value):
-                if self._guard is None:
-                    raise non_finite_loss_error(value, epoch,
-                                                self._global_step)
-                self._guard.strike("non_finite_loss", epoch=epoch,
-                                   step=self._global_step, loss=value)
-                continue
-            loss.backward()
-            if self.on_backward is not None:
-                self.on_backward(self.model, batch, self._global_step)
-            if self._guard is not None and not self._guard.gradients_ok():
-                self._guard.strike("non_finite_gradient", epoch=epoch,
-                                   step=self._global_step, loss=value)
+            value = guarded_backward(
+                loss, self._guard, epoch=epoch, step=self._global_step,
+                after_backward=None if self.on_backward is None else partial(
+                    self.on_backward, self.model, batch, self._global_step))
+            if value is None:
                 continue
             if self.grad_clip_norm is not None:
                 self._clip_gradients()
@@ -238,38 +305,7 @@ class Trainer:
                            loss=value)
             if self.on_step is not None:
                 self.on_step(self.model, batch, value)
-        return float(np.mean(losses)) if losses else float("nan")
-
-    def _on_corrupt(self, path: Path, error: Exception) -> None:
-        self._emit("recovery", action="fallback", path=str(path),
-                   error=str(error))
-
-    def _try_resume(self):
-        """Load the newest valid checkpoint; returns it or ``None``."""
-        loaded = self.checkpoints.latest_valid(on_corrupt=self._on_corrupt)
-        if loaded is None:
-            return None
-        checkpoint, path = loaded
-        checkpoint.restore(self.model, self.optimizer, rng=self.rng)
-        self._global_step = checkpoint.global_step
-        self._emit("recovery", action="resume", epoch=checkpoint.epoch,
-                   global_step=checkpoint.global_step, path=str(path))
-        return checkpoint
-
-    def _save_checkpoint(self, epoch: int, history: History,
-                         best_auc: float, stale: int,
-                         best_state: Optional[Dict[str, np.ndarray]]) -> None:
-        checkpoint = TrainingCheckpoint.capture(
-            self.model, self.optimizer, epoch=epoch,
-            global_step=self._global_step, rng=self.rng, history=history,
-            extras={"best_auc": (None if best_auc == -np.inf
-                                 else float(best_auc)),
-                    "stale": int(stale)},
-            best_state=best_state,
-        )
-        path = self.checkpoints.save(checkpoint)
-        self._emit("checkpoint", epoch=epoch,
-                   global_step=self._global_step, path=str(path))
+        return mean_loss(losses)
 
     def fit(self, train: CTRDataset, val: Optional[CTRDataset] = None) -> History:
         """Train until convergence or ``max_epochs``.
@@ -298,8 +334,10 @@ class Trainer:
         stale = 0
         start_epoch = 0
         if self.checkpoints is not None and self.resume:
-            checkpoint = self._try_resume()
+            checkpoint = resume_latest(self.checkpoints, self.model,
+                                       self.optimizer, self.rng, self._emit)
             if checkpoint is not None:
+                self._global_step = checkpoint.global_step
                 history = checkpoint.history
                 start_epoch = checkpoint.epoch + 1
                 saved_auc = checkpoint.extras.get("best_auc")
@@ -345,8 +383,14 @@ class Trainer:
             self._emit("epoch_end", epoch_s=time.perf_counter() - epoch_start,
                        **record.as_dict())
             if self.checkpoints is not None:
-                self._save_checkpoint(epoch, history, best_auc, stale,
-                                      best_state)
+                save_checkpoint(self.checkpoints, TrainingCheckpoint.capture(
+                    self.model, self.optimizer, epoch=epoch,
+                    global_step=self._global_step, rng=self.rng,
+                    history=history,
+                    extras={"best_auc": (None if best_auc == -np.inf
+                                         else float(best_auc)),
+                            "stale": int(stale)},
+                    best_state=best_state), self._emit)
             if self._guard is not None:
                 self._guard.record_good(
                     extras={"global_step": self._global_step})

@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.data import SyntheticConfig, make_dataset
 from repro.nn import binary_cross_entropy_with_logits
+from repro.resilience import BatchCorruptor, FaultyDataset
 from repro.training import evaluate_model
 
 
@@ -146,6 +147,16 @@ class TestPipeline:
         train, val, _ = tiny_splits
         with pytest.raises(ValueError):
             search_higher_order(train, val, _search_config())
+
+    def test_search_fails_fast_on_non_finite_loss(self, triple_data):
+        # Like every other search loop: the NaN batch stops the search at
+        # once instead of poisoning alpha for the remaining epochs.
+        _, _, train, val, _ = triple_data
+        faulty = FaultyDataset(train, BatchCorruptor(at_batch=2))
+        with pytest.raises(RuntimeError,
+                           match=r"non-finite training loss .* at epoch 0, "
+                                 r"global step 2"):
+            search_higher_order(faulty, val, _search_config())
 
     def test_full_pipeline_recovers_planted_triple(self, triple_data):
         _, truth, train, val, test = triple_data

@@ -13,8 +13,9 @@ from repro.serving import (GoldenSet, REPLICA_CANARY, REPLICA_HEALTHY,
                            select_initial_checkpoint)
 from repro.serving.faults import (CheckpointSwapper, PoisonedCheckpoint,
                                   valid_requests)
-from repro.serving.rollout import (CanaryController, STAGE_IDLE,
-                                   STAGE_MIRRORING, STAGE_PROMOTING)
+from repro.serving.rollout import (CanaryController, MANIFEST_NAME,
+                                   STAGE_IDLE, STAGE_MIRRORING,
+                                   STAGE_PROMOTING)
 
 REQ = {"field_0": 1, "field_1": 2, "field_2": 3}
 
@@ -357,3 +358,29 @@ class TestRestartSafety:
         assert controller.manifest.data["promotions"] == 1
         for replica in pool.replicas:
             assert replica.service.model_version == "epoch-00000001"
+
+
+class TestSingleInstanceHonoursManifest:
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_rolled_back_checkpoint_is_never_served(self, tmp_path,
+                                                    replicas):
+        """A pool marked epoch 2 bad; a restart at any replica count
+        boots on epoch 1 and its first poll does not promote epoch 2."""
+        from repro.serving.server import build_serving_stack
+
+        ckpt_dir = tmp_path / "ckpts"
+        source = build_serving_stack("LR", "criteo", "quick", samples=2000)
+        manager = CheckpointManager(ckpt_dir)
+        swapper = CheckpointSwapper(manager)
+        swapper.write_valid(source.service.model)
+        bad = swapper.write_valid(source.service.model)
+        manifest = RolloutManifest(ckpt_dir / MANIFEST_NAME)
+        manifest.mark_bad(bad, 2, "rolled back")
+        manifest.save()
+
+        stack = build_serving_stack("LR", "criteo", "quick", samples=2000,
+                                    checkpoint_dir=ckpt_dir,
+                                    replicas=replicas)
+        assert stack.service.model_version == "epoch-00000001"
+        stack.poll_inline()
+        assert stack.service.model_version == "epoch-00000001"

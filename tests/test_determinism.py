@@ -10,13 +10,34 @@ update the pins in the same commit and say why.
 import numpy as np
 import pytest
 
-from repro.core import SearchConfig, search_optinter
-from repro.data import criteo_like, make_dataset
+from repro.core import (
+    Architecture,
+    Method,
+    RetrainConfig,
+    SearchConfig,
+    retrain,
+    search_bilevel,
+    search_higher_order,
+    search_optinter,
+)
+from repro.data import SyntheticConfig, criteo_like, make_dataset
 
 
 @pytest.fixture(scope="module")
 def pinned_dataset():
     return make_dataset(criteo_like(n_samples=2000))
+
+
+@pytest.fixture(scope="module")
+def pinned_splits(pinned_dataset):
+    dataset, _ = pinned_dataset
+    return dataset.split((0.7, 0.1, 0.2), rng=np.random.default_rng(0))
+
+
+def _pinned_search_config(**overrides):
+    return SearchConfig(**{**dict(embed_dim=3, cross_embed_dim=2,
+                                  hidden_dims=(8,), epochs=1,
+                                  batch_size=256, seed=0), **overrides})
 
 
 class TestDataPins:
@@ -48,3 +69,50 @@ class TestSearchPins:
         assert result.architecture.counts() == [38, 10, 18]
         np.testing.assert_allclose(np.abs(result.alpha).sum(), 7.549658,
                                    atol=1e-5)
+
+    def test_bilevel_architecture(self, pinned_splits):
+        train, val, _ = pinned_splits
+        result = search_bilevel(train, val, _pinned_search_config())
+        assert result.architecture.counts() == [36, 19, 11]
+        np.testing.assert_allclose(np.abs(result.alpha).sum(), 7.212484,
+                                   atol=1e-5)
+        np.testing.assert_allclose(result.history.records[0].train_loss,
+                                   0.628342, atol=1e-5)
+
+    def test_higher_order_architectures(self):
+        dataset, _ = make_dataset(SyntheticConfig(
+            cardinalities=[8, 10, 6, 12, 9, 7], n_samples=1500,
+            n_memorizable=1, n_factorizable=1, n_memorizable_triples=1,
+            triple_strength=2.5, min_count=1, cross_min_count=2, seed=4),
+            with_triples=True, triple_min_count=2)
+        train, val, _ = dataset.split((0.7, 0.1, 0.2),
+                                      rng=np.random.default_rng(0))
+        pair_arch, triple_arch, history, model = search_higher_order(
+            train, val, _pinned_search_config(
+                embed_dim=4, cross_embed_dim=3, hidden_dims=(16,), lr=3e-3,
+                lr_arch=2e-2, l2_cross=5e-2))
+        assert pair_arch.counts() == [6, 3, 6]
+        assert triple_arch.counts() == [9, 6, 5]
+        alpha_sum = sum(float(np.abs(p.data).sum())
+                        for p in model.architecture_parameters())
+        np.testing.assert_allclose(alpha_sum, 6.322004, atol=1e-5)
+        np.testing.assert_allclose(history.records[0].train_loss, 0.636730,
+                                   atol=1e-5)
+
+
+class TestRetrainPins:
+    def test_fixed_architecture_retrain(self, pinned_splits):
+        train, val, _ = pinned_splits
+        methods = list(Method)
+        architecture = Architecture(
+            methods=tuple(methods[i % 3] for i in range(66)))
+        model, history = retrain(architecture, train, val, RetrainConfig(
+            embed_dim=3, cross_embed_dim=2, hidden_dims=(8,), epochs=2,
+            batch_size=256, l2_cross=1e-3, seed=1))
+        assert architecture.counts() == [22, 22, 22]
+        np.testing.assert_allclose(
+            [r.train_loss for r in history.records],
+            [0.840471, 0.658179], atol=1e-5)
+        param_sum = sum(float(np.abs(p.data).sum())
+                        for p in model.parameters())
+        np.testing.assert_allclose(param_sum, 286.269083, atol=1e-5)
