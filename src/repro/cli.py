@@ -258,24 +258,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chaos injection: flaky:K (first K scores fail), "
                             "slow:SECONDS (added scoring latency), "
                             "crash:N (hard-exit after N requests); "
-                            "repeatable (pool mode targets replica 0)")
+                            "repeatable (targets replica 0)")
     serve.add_argument("--replicas", type=int, default=1,
-                       help="replica pool size (1 = classic single-instance "
-                            "stack; >1 adds health-checked failover, hedged "
-                            "requests and canary checkpoint rollout)")
+                       help="replica pool size (>1 adds health-checked "
+                            "failover, hedged requests and canary checkpoint "
+                            "rollout)")
     serve.add_argument("--min-healthy", type=int, default=1,
-                       help="pool mode: quarantine/canary never drop the "
-                            "healthy replica count below this floor")
+                       help="quarantine/canary never drop the healthy "
+                            "replica count below this floor (1..--replicas)")
     serve.add_argument("--hedge-ms", default=None, metavar="MS|auto",
-                       help="pool mode: hedge a batch with no genuine "
+                       help="hedge a batch with no genuine "
                             "answer to a second replica after this many ms, "
                             "at any --batch-size ('auto' tracks the p99 "
                             "dispatch latency; 0/unset disables hedging)")
     serve.add_argument("--canary-mirror", type=float, default=None,
                        metavar="FRACTION",
-                       help="pool mode: fraction of live traffic shadow-"
+                       help="fraction of live traffic shadow-"
                             "scored on the canary replica during rollout "
-                            "(default 0.1; 0 disables canary rollout)")
+                            "(default 0.1; 0 disables canary rollout; a "
+                            "pool of one hot-reloads instead)")
     _add_trace(serve)
 
     predict = sub.add_parser(
@@ -685,7 +686,10 @@ def _cmd_serve(args) -> int:
     _check_resume(args)
     bus = _open_bus(args)
     try:
-        stack = _build_stack_from_args(args, bus)
+        try:
+            stack = _build_stack_from_args(args, bus)
+        except ValueError as exc:  # bad --replicas/--min-healthy/--inject
+            return _operator_error(str(exc)).code
         for note in stack.notes:
             print(f"# {note}", file=sys.stderr)
         if args.mode == "socket":

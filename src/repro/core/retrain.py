@@ -9,7 +9,7 @@ Table IX).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -135,7 +135,8 @@ def run_optinter(train: CTRDataset, val: Optional[CTRDataset],
         batch_size=search_config.batch_size,
         seed=search_config.seed + 1,
     )
-    search_config.verbose = search_config.verbose or verbose
+    search_config = replace(search_config,
+                            verbose=search_config.verbose or verbose)
     search_ckpt_dir = retrain_ckpt_dir = arch_path = None
     if checkpoint_dir is not None:
         root = Path(checkpoint_dir)

@@ -31,15 +31,15 @@ registry and drift monitor — behind a router with four defences:
 
 Every dispatch is a batch: ``predict`` is ``predict_batch`` on a batch
 of one, so failover and hedging apply at every ``--batch-size``.  A
-pool of one replica is a pure pass-through to the single service, so
-responses are byte-for-byte what the single-instance path produces
-(pinned by the HA differential suite).
+pool of one replica scores inline on its service, so responses are
+byte-for-byte what the bare service produces (pinned by the HA
+differential suite).
 
-The pool duck-types the slice of :class:`PredictionService` the
-transports and protocol handlers use (``predict``, ``predict_batch``,
-``health``, ``readiness``, ``shed_response``, ``metrics``, ``tracer``,
-``latency``, ``drift``), so ``repro serve --replicas N`` reuses the
-exact same protocol code as a single instance.
+``repro serve`` builds a pool at every ``--replicas`` count, so the
+probes (``health``, ``readiness``, ``metrics``) have one schema at
+every size.  The scoring calls (``predict``, ``predict_batch``,
+``shed_response``, ``tracer``, ``latency``) match
+:class:`PredictionService`'s, so a bare service can stand in for them.
 """
 
 from __future__ import annotations
@@ -462,14 +462,27 @@ class ReplicaPool:
         snapshot, so a batch never mixes versions); a second replica
         answers it only when the primary fails over or is hedged.  The
         caller's :class:`BatchRequest` objects reach the replica as they
-        are.  A pool of one replica delegates inline — byte-identical to
-        the single-instance path by construction.
+        are.  A pool of one replica scores inline — byte-identical to
+        its bare service — and still records heartbeat and latency.
         """
         reqs = [r if isinstance(r, BatchRequest) else BatchRequest(r)
                 for r in requests]
-        if len(self._replicas) == 1 or not reqs:
-            return self._replicas[0].service.predict_batch(reqs)
+        if not reqs:
+            return []
         started = self._clock()
+        if len(self._replicas) == 1:  # inline: no thread, no hedge
+            self.metrics.counter("pool.dispatches").inc()
+            replica, ok = self._replicas[0], False
+            token = replica.begin()
+            try:
+                responses = replica.service.predict_batch(reqs)
+                ok = True
+            finally:
+                replica.end(token, ok=ok)
+            if _genuine(responses):
+                self._observe_latency(self._clock() - started)
+            self.metrics.counter("pool.requests").inc(len(reqs))
+            return responses
         with self.tracer.span("serve.dispatch",
                               batch_size=len(reqs)) as span:
             responses, replica, hedged = self._dispatch(reqs, started)

@@ -1,6 +1,6 @@
 """Canary checkpoint rollout: promote through shadow traffic, or roll back.
 
-The single-instance :class:`~repro.serving.reload.HotReloader` promotes
+A pool of one's :class:`~repro.serving.reload.HotReloader` promotes
 a checkpoint after integrity + golden checks.  That catches corrupt and
 obviously-broken weights, but a *poisoned* checkpoint — intact archive,
 finite probabilities, silently wrong scores — can still sail through a

@@ -24,8 +24,8 @@ Request envelope (all fields except ``features`` optional)::
 
 A bare feature mapping (no ``features`` key) is accepted too.  Responses
 are :meth:`PredictionResponse.as_dict` JSON.  ``build_serving_stack``
-assembles the service + hot reloader exactly the way the CLI does, so
-tests and the CLI share one construction path.
+assembles the replica pool + checkpoint watcher exactly the way the CLI
+does, so tests and the CLI share one construction path.
 """
 
 from __future__ import annotations
@@ -74,12 +74,11 @@ SERVABLE_MODELS = ("LR", "FNN", "FM", "FwFM", "FmFM", "IPNN", "OPNN",
 class ServingStack:
     """Everything a serving process runs: service, reloader, metadata.
 
-    ``service`` is the scoring facade the protocol handlers talk to —
-    a plain :class:`PredictionService` in single-instance mode, or a
-    :class:`~repro.serving.replica.ReplicaPool` (which duck-types the
-    same surface) when ``--replicas N`` builds a pool.  ``pool`` /
-    ``canary`` are then the same objects under their own names for
-    lifecycle management.
+    ``service`` is the facade the protocol handlers talk to:
+    :func:`build_serving_stack` makes it a :class:`ReplicaPool` at every
+    replica count, also named ``pool`` for lifecycle management.  A
+    hand-built stack may serve a bare :class:`PredictionService`, which
+    answers scoring lines exactly as a pool of one but has no probes.
     """
 
     service: Any
@@ -152,13 +151,12 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
     equal configs yield identical schemas, vocabularies and cross
     cardinalities.
 
-    ``replicas=1`` (the default) builds the classic single-instance
-    stack with a :class:`HotReloader`.  ``replicas > 1`` builds a
-    :class:`ReplicaPool` (one model / breaker / metrics / drift monitor
-    per replica) and, when a checkpoint directory is watched, a
-    :class:`CanaryController` instead of the reloader: new checkpoints
-    are staged on one canary replica against mirrored live traffic and
-    promoted or rolled back automatically.
+    Every replica count builds a :class:`ReplicaPool` (one model /
+    breaker / metrics / drift monitor per replica).  A watched
+    checkpoint directory gets a :class:`HotReloader` on a pool of one,
+    or else a :class:`CanaryController`: new checkpoints are staged on
+    one canary replica against mirrored live traffic and promoted or
+    rolled back automatically.
     """
     from ..experiments import default_config, prepare_dataset
     from ..experiments.runner import _build_plain_model
@@ -169,6 +167,10 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
 
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
+    if not 1 <= min_healthy <= replicas:
+        raise ValueError(f"min_healthy must be in [1, {replicas}] (the "
+                         f"replica count), got {min_healthy}")
+    injections = parse_injections(inject)
     config = default_config(dataset, scale)
     if samples is not None:
         config = replace(config, n_samples=samples)
@@ -240,7 +242,6 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
     # it — computed before chaos wrappers so injected faults can't
     # poison the baseline.  The reference is computed once and shared by
     # every replica's own monitor.
-    metrics = MetricsRegistry()
     drift_sample = None
     drift_scores = None
     if drift_window is not None:
@@ -264,22 +265,6 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
 
     prior = max(min(bundle.train.positive_ratio, 1.0 - 1e-6), 1e-6)
 
-    def make_service(model_obj, registry: MetricsRegistry,
-                     version: str) -> PredictionService:
-        return PredictionService(
-            model_obj, bundle.full.schema,
-            validator=RequestValidator(bundle.full.schema),
-            cross_transform=cross_transform,
-            prior_ctr=prior,
-            deadline_s=None if deadline_ms is None else deadline_ms / 1e3,
-            breaker=CircuitBreaker(failure_threshold=breaker_threshold,
-                                   cooldown_s=breaker_cooldown_s),
-            metrics=registry,
-            bus=bus,
-            drift=make_drift(registry),
-            model_version=version)
-
-    injections = parse_injections(inject)
     crash: Optional[ServeCrash] = None
     if "crash" in injections:
         crash = ServeCrash(at_request=int(injections["crash"]))
@@ -291,36 +276,6 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
     golden = GoldenSet(list(valid_requests(bundle.full.schema,
                                            count=golden_requests)))
 
-    if replicas == 1:
-        # Chaos injection wrappers (outermost wins the scoring call).
-        if "slow" in injections:
-            model = SlowModel(model, delay_s=injections["slow"])
-            notes.append(f"injected slow scoring: +{injections['slow']}s")
-        if "flaky" in injections:
-            model = FlakyModel(model, fail_first=int(injections["flaky"]))
-            notes.append(f"injected flaky scoring: first "
-                         f"{int(injections['flaky'])} calls fail")
-        service = make_service(model, metrics, version)
-        service._crash = crash  # picked up by the protocol loop
-
-        reloader = None
-        if manager is not None:
-            reloader = HotReloader(service, manager, model_factory,
-                                   golden=golden,
-                                   interval_s=reload_interval_s,
-                                   bus=bus)
-            reloader._loaded_epoch = loaded_epoch
-            # Checkpoints a pool rolled back stay refused here too.
-            for bad in manifest.bad_paths:
-                try:
-                    reloader._bad_paths[bad] = Path(bad).stat().st_mtime
-                except OSError:
-                    pass
-        return ServingStack(service=service, reloader=reloader,
-                            model_name=model_name, dataset=dataset,
-                            notes=notes)
-
-    # ---- replica pool mode -------------------------------------------
     def build_replica_service(replica_id: int) -> PredictionService:
         """Build (or rebuild, for quarantined restarts) one replica.
 
@@ -338,14 +293,25 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
                 ckpt, _path = picked
                 state = ckpt.model_state
                 rep_version = f"epoch-{ckpt.epoch:08d}"
-        if state is not None:
-            rep_model.load_state_dict(state)
-        return make_service(rep_model, MetricsRegistry(), rep_version)
+        rep_model.load_state_dict(state)
+        registry = MetricsRegistry()
+        return PredictionService(
+            rep_model, bundle.full.schema,
+            validator=RequestValidator(bundle.full.schema),
+            cross_transform=cross_transform,
+            prior_ctr=prior,
+            deadline_s=None if deadline_ms is None else deadline_ms / 1e3,
+            breaker=CircuitBreaker(failure_threshold=breaker_threshold,
+                                   cooldown_s=breaker_cooldown_s),
+            metrics=registry,
+            bus=bus,
+            drift=make_drift(registry),
+            model_version=rep_version)
 
     services = [build_replica_service(i) for i in range(replicas)]
-    # Chaos wrappers in pool mode target replica 0 only, so the pool's
-    # defences (failover, hedging, quarantine) are what the chaos suite
-    # exercises rather than a uniformly-broken fleet.
+    # Chaos wrappers target replica 0 only, so in a larger pool the
+    # pool's defences (failover, hedging, quarantine) are what the chaos
+    # suite exercises rather than a uniformly-broken fleet.
     if "slow" in injections:
         first = services[0]
         first.swap_model(SlowModel(first.model, delay_s=injections["slow"]),
@@ -370,8 +336,21 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
     notes.append(f"replica pool: {replicas} replicas, "
                  f"min_healthy={min_healthy}, hedge_ms={hedge_ms}")
 
-    canary = None
-    if manager is not None and (canary_mirror is None or canary_mirror > 0):
+    # The checkpoint watcher follows the pool size: a canary needs a
+    # spare replica, so a pool of one hot-reloads its only replica.
+    reloader = canary = None
+    if manager is not None and replicas == 1:
+        reloader = HotReloader(services[0], manager, model_factory,
+                               golden=golden, interval_s=reload_interval_s,
+                               bus=bus)
+        reloader._loaded_epoch = loaded_epoch
+        # Checkpoints a pool rolled back stay refused here too.
+        for bad in manifest.bad_paths:
+            try:
+                reloader._bad_paths[bad] = Path(bad).stat().st_mtime
+            except OSError:
+                pass
+    elif manager is not None and (canary_mirror is None or canary_mirror > 0):
         policy = (RolloutPolicy() if canary_mirror is None
                   else RolloutPolicy(mirror_fraction=canary_mirror))
         canary = CanaryController(pool, manager, model_factory,
@@ -383,7 +362,7 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
         pool._rollout = canary.rollout_state  # the `rollout` protocol op
         notes.append(f"canary rollout on (mirror="
                      f"{policy.mirror_fraction:g})")
-    return ServingStack(service=pool, reloader=None,
+    return ServingStack(service=pool, reloader=reloader,
                         model_name=model_name, dataset=dataset,
                         notes=notes, pool=pool, canary=canary)
 
@@ -398,7 +377,7 @@ def invalid_line_response(message: str) -> Dict[str, Any]:
         error={"code": "invalid_request", "message": message}).as_dict()
 
 
-def _answer_op(payload: Dict[str, Any], service: PredictionService
+def _answer_op(payload: Dict[str, Any], service: ReplicaPool
                ) -> Tuple[Dict[str, Any], bool]:
     """An op line's ``{"op": ...}`` payload → ``(response, is_shutdown)``."""
     op = payload["op"]
@@ -430,7 +409,7 @@ def _answer_op(payload: Dict[str, Any], service: PredictionService
     return invalid_line_response(f"unknown op {op!r}"), False
 
 
-def handle_request_line(line: str, service: PredictionService,
+def handle_request_line(line: str, service: ReplicaPool,
                         queued_at: Optional[float] = None
                         ) -> Tuple[Dict[str, Any], bool]:
     """One protocol line → ``(response dict, is_shutdown)``:
@@ -439,7 +418,7 @@ def handle_request_line(line: str, service: PredictionService,
     return responses[0], shutdown
 
 
-def handle_request_lines(lines: List[str], service: PredictionService,
+def handle_request_lines(lines: List[str], service: ReplicaPool,
                          queued_ats: Optional[List[Optional[float]]] = None
                          ) -> Tuple[List[Dict[str, Any]], bool]:
     """A run of protocol lines → ``(response dicts, shutdown)``.

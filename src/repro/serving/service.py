@@ -492,23 +492,3 @@ class PredictionService:
                 status=STATUS_SHED, request_id=request_id,
                 model_version=self.model_version, error=error.as_payload())
             return self._finish(response, self._clock(), None)
-
-    # ------------------------------------------------------------------
-    # Probes
-    # ------------------------------------------------------------------
-    def health(self) -> Dict[str, Any]:
-        """Liveness + a compact operational snapshot."""
-        snapshot = self.metrics.snapshot()
-        requests = snapshot.get("serve.requests", {}).get("value", 0.0)
-        return {
-            "status": "ok",
-            "ready": self.ready,
-            "model_version": self.model_version,
-            "breaker": self.breaker.state,
-            "requests": requests,
-            "latency_ewma_ms": self.latency() * 1e3,
-        }
-
-    def readiness(self) -> Dict[str, Any]:
-        """Readiness probe: may this replica take traffic?"""
-        return {"ready": self.ready, "model_version": self.model_version}

@@ -93,6 +93,14 @@ class TestRunOptInter:
         assert result.model.embed_dim == 4
         assert result.model.cross_embed_dim == 2
 
+    def test_verbose_leaves_the_callers_config_alone(self, tiny_splits,
+                                                     capsys):
+        train, val, _ = tiny_splits
+        config = _search_config()
+        run_optinter(train, val, config, verbose=True)
+        assert config.verbose is False
+        assert capsys.readouterr().out  # the search still ran verbosely
+
     def test_retrained_model_is_fixed_mode(self, tiny_splits):
         train, val, _ = tiny_splits
         result = run_optinter(train, val, _search_config())

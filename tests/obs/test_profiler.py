@@ -1,5 +1,7 @@
 """Autodiff profiler: op attribution, hook hygiene, numerical neutrality."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,35 @@ class TestSparseGradAccounting:
                 sparse_table, indices).sum().backward()
         np.testing.assert_array_equal(sparse_table.grad.to_dense(),
                                       dense_table.grad)
+
+
+def _builds_op(fn) -> bool:
+    """True when ``fn``'s own body constructs an autodiff node."""
+    return "._make(" in inspect.getsource(fn)
+
+
+class TestNameListsCoverEveryOp:
+    """The profiler hooks ops by name; a new op must join the lists."""
+
+    def test_every_op_building_free_function_is_hooked(self):
+        from repro.obs.profiler import _FREE_FUNCTIONS
+
+        builders = {name for name, fn in vars(tensor_module).items()
+                    if inspect.isfunction(fn)
+                    and fn.__module__ == tensor_module.__name__
+                    and _builds_op(fn)}
+        assert builders, "no op-building free functions found"
+        assert builders <= set(_FREE_FUNCTIONS), sorted(
+            builders - set(_FREE_FUNCTIONS))
+
+    def test_every_op_building_tensor_method_is_hooked(self):
+        from repro.obs.profiler import _TENSOR_METHODS
+
+        builders = {name for name, fn in vars(Tensor).items()
+                    if inspect.isfunction(fn) and _builds_op(fn)}
+        assert builders, "no op-building Tensor methods found"
+        assert builders <= set(_TENSOR_METHODS), sorted(
+            builders - set(_TENSOR_METHODS))
 
 
 class TestHookHygiene:

@@ -162,7 +162,7 @@ def run_sequential(service, stream):
 class TestEveryModelFamily:
     @pytest.mark.parametrize("name", SERVABLE_MODELS)
     def test_batched_equals_sequential_bitwise(self, name):
-        service = family_stack(name).service
+        service = family_stack(name).service.replicas[0].service
         rng = np.random.default_rng(11)
         stream = mixed_stream(service.schema, rng, 32)
         references = {service.model_version: model_reference(service,

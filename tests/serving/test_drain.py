@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.serving import ReplicaPool
 from repro.serving.faults import SlowModel
 from repro.serving.server import ServingStack, SocketServer
 
@@ -22,9 +23,9 @@ REQ = {"field_0": 1, "field_1": 2, "field_2": 3}
 
 def make_server(make_service, lr_model, *, delay_s=0.0, **server_kwargs):
     model = SlowModel(lr_model, delay_s) if delay_s else lr_model
-    service = make_service(model=model)
-    stack = ServingStack(service=service, reloader=None,
-                         model_name="lr", dataset="test")
+    pool = ReplicaPool([make_service(model=model)])
+    stack = ServingStack(service=pool, reloader=None,
+                         model_name="lr", dataset="test", pool=pool)
     server = SocketServer(stack, **server_kwargs)
     host, port = server.start()
     return server, host, port

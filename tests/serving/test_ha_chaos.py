@@ -5,8 +5,8 @@ mid-stream and (b) a poisoned checkpoint pushed through the canary
 path — with zero user-visible errors beyond typed ``degraded`` answers,
 the rollback recorded in the manifest — and bit-for-bit parity over
 real sockets between a pool of one with hedging off and the bare
-service.  ``build_serving_stack`` builds the bare service whenever
-``--replicas 1``, so the pool of one is built in-process here.
+service.  ``build_serving_stack`` builds a pool at every replica count,
+so the bare reference service is built in-process here.
 """
 
 import json
@@ -212,6 +212,26 @@ class TestPoolOfOneParity:
                 assert struct.pack("<d", pa) == struct.pack("<d", pb)
 
 
+class TestPoolOfOneStaysLive:
+    def test_replicas_1_sheds_and_reports_latency(self):
+        """``--replicas 1`` keeps the latency estimate live: the queue's
+        ``--max-wait-ms`` shedding and the health probe both read it."""
+        from repro.serving.server import (build_serving_stack,
+                                          handle_request_line)
+
+        stack = build_serving_stack("LR", "criteo", "quick",
+                                    samples=int(SAMPLES), replicas=1)
+        server = SocketServer(stack, max_wait_ms=1000.0)  # never started
+        for i in range(4):
+            response, _ = handle_request_line(
+                json.dumps({"features": {"field_0": i}}), stack.service)
+            assert response["status"] == "ok"
+        assert server.queue.put((None, "{}", None, None))
+        assert server.queue.estimated_wait_s() > 0
+        health, _ = handle_request_line('{"op": "health"}', stack.service)
+        assert health["latency_ewma_ms"] > 0
+
+
 class TestPooledServerSmoke:
     def test_pipelined_clients_against_a_wedgy_pool(self):
         """3 replicas, replica 0 flaky-injected: every pipelined request
@@ -268,7 +288,8 @@ class TestPooledServerSmoke:
         stack = build_serving_stack("LR", "criteo", "quick",
                                     samples=int(SAMPLES))
         manager = CheckpointManager(ckpt_dir)
-        CheckpointSwapper(manager).write_valid(stack.service.model)
+        model = stack.service.replicas[0].service.model
+        CheckpointSwapper(manager).write_valid(model)
 
         proc, host, port = start_server(
             "--replicas", "3", "--canary-mirror", "1.0",
@@ -277,8 +298,7 @@ class TestPooledServerSmoke:
         try:
             ready, = rpc(host, port, [{"op": "ready"}])
             assert ready["model_version"] == "epoch-00000001"
-            PoisonedCheckpoint(manager).write(stack.service.model,
-                                              kind="drift")
+            PoisonedCheckpoint(manager).write(model, kind="drift")
             poison_version = "epoch-00000002"
             deadline = time.monotonic() + 60.0
             rollbacks = 0

@@ -75,6 +75,22 @@ class TestPassthrough:
                         solo.predict_batch(batch)):
             assert_identical(a, b)
 
+    def test_pool_of_one_keeps_heartbeat_and_latency_live(self, make_pool):
+        """Inline scoring still records the dispatch: the heartbeat the
+        health probe reports and the latency the transport sheds on."""
+        now = [100.0]
+        pool = make_pool(n=1, clock=lambda: now[0])
+        replica = pool.replicas[0]
+        now[0] = 105.0
+        assert replica.heartbeat_age() == 5.0
+        pool.predict_batch([REQ, {"field_0": 5}])
+        assert replica.heartbeat_age() == 0.0
+        assert replica.inflight == 0
+        snapshot = pool.metrics.snapshot()
+        assert snapshot["pool.dispatch_latency_s"]["count"] == 1
+        assert snapshot["pool.dispatches"]["value"] == 1
+        assert snapshot["pool.requests"]["value"] == 2
+
 
 class TestRouting:
     def test_genuine_answer_from_some_replica(self, make_pool):

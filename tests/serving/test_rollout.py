@@ -372,8 +372,9 @@ class TestSingleInstanceHonoursManifest:
         source = build_serving_stack("LR", "criteo", "quick", samples=2000)
         manager = CheckpointManager(ckpt_dir)
         swapper = CheckpointSwapper(manager)
-        swapper.write_valid(source.service.model)
-        bad = swapper.write_valid(source.service.model)
+        model = source.service.replicas[0].service.model
+        swapper.write_valid(model)
+        bad = swapper.write_valid(model)
         manifest = RolloutManifest(ckpt_dir / MANIFEST_NAME)
         manifest.mark_bad(bad, 2, "rolled back")
         manifest.save()

@@ -41,7 +41,7 @@ def checkpoint_dir(tmp_path_factory):
     stack = build_serving_stack("LR", "criteo", "quick",
                                 samples=int(SAMPLES))
     CheckpointSwapper(CheckpointManager(directory)).write_valid(
-        stack.service.model)
+        stack.service.replicas[0].service.model)
     return directory
 
 
@@ -169,12 +169,13 @@ class TestBatchedSocket:
             assert not failures, failures
 
             metrics, = rpc(host, port, [{"op": "metrics"}])
-            histogram = metrics["serve.batch_size"]
+            histogram = metrics["replica.0.serve.batch_size"]
             assert histogram["count"] >= 1
             # Pipelined concurrent load over slow scoring must have
             # coalesced at least one multi-request batch.
             assert histogram["max"] > 1
-            assert metrics["serve.batches"]["value"] == histogram["count"]
+            assert (metrics["replica.0.serve.batches"]["value"]
+                    == histogram["count"])
         finally:
             shutdown(proc, host, port)
 
@@ -197,7 +198,7 @@ class TestDegradedUnderOpenBreaker:
             assert {r["degraded_reason"] for r in responses[2:]} == {
                 "breaker_open"}
             health, = rpc(host, port, [{"op": "health"}])
-            assert health["breaker"] == "open"
+            assert health["replicas"][0]["breaker"] == "open"
             assert health["ready"] is True  # degraded ≠ unready
         finally:
             shutdown(proc, host, port)

@@ -8,6 +8,7 @@ from repro.serving import (
     LEVEL_FULL,
     LEVEL_MAIN_EFFECTS,
     OverloadedError,
+    ReplicaPool,
     STATUS_DEGRADED,
     STATUS_INVALID,
     STATUS_OK,
@@ -169,16 +170,22 @@ class TestShedAndProbes:
         assert event.payload["depth"] == 64
 
     def test_health_probe_snapshot(self, make_service):
-        service = make_service()
-        service.predict({"field_0": 1})
-        health = service.health()
+        """The probes are the pool's: a pool of one reports its replica."""
+        pool = ReplicaPool([make_service()])
+        pool.predict({"field_0": 1})
+        health = pool.health()
         assert health["status"] == "ok"
         assert health["ready"] is True
-        assert health["breaker"] == "closed"
-        assert health["requests"] == 1.0
+        assert health["replicas"][0]["breaker"] == "closed"
+        requests = pool.metrics.snapshot()["replica.0.serve.requests"]
+        assert requests["value"] == 1.0
 
     def test_readiness_probe(self, make_service, lr_model):
         service = make_service(None)
-        assert service.readiness()["ready"] is False
+        pool = ReplicaPool([service])
+        assert service.ready is False
+        assert pool.readiness()["ready"] is False
         service.swap_model(lr_model, "v1")
-        assert service.readiness()["ready"] is True
+        assert service.ready is True
+        assert pool.readiness() == {"ready": True, "model_version": "v1",
+                                    "healthy": 1, "replicas": 1}

@@ -270,6 +270,26 @@ class TestOperatorErrorExitCodes:
         assert "unreadable checkpoint" in err
         assert str(bad) in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--replicas", "0"],
+        ["--replicas", "2", "--min-healthy", "3"],
+        ["--replicas", "1", "--min-healthy", "2"],
+        ["--min-healthy", "0"],
+    ])
+    def test_bad_replica_flags_exit_code_2(self, flags, capsys, monkeypatch):
+        """Refused before any dataset is built, in one line."""
+        import repro.experiments
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("dataset built before the flags were checked")
+
+        monkeypatch.setattr(repro.experiments, "prepare_dataset", never)
+        code = main(["serve", "--model", "LR", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "replicas" in err or "min_healthy" in err
+
 
 class TestServingParser:
     def test_serve_mode_validated(self):
