@@ -8,7 +8,7 @@ unavailable public datasets (see DESIGN.md for the substitution argument).
 """
 
 from .schema import FieldSpec, Schema, make_schema
-from .vocabulary import OOV_ID, FieldVocabularies, StreamingVocabulary, Vocabulary
+from .vocabulary import OOV_ID, FieldVocabularies, Vocabulary
 from .preprocessing import MinMaxNormalizer, QuantileBucketizer
 from .cross import CrossProductTransform, HashedCrossTransform
 from .higher_order import TupleCrossTransform, default_tuples
@@ -71,7 +71,6 @@ __all__ = [
     "make_schema",
     "Vocabulary",
     "FieldVocabularies",
-    "StreamingVocabulary",
     "OOV_ID",
     "MinMaxNormalizer",
     "QuantileBucketizer",

@@ -46,7 +46,10 @@ class CrossProductTransform:
 
     def fit(self, x: np.ndarray, cardinalities: Optional[Sequence[int]] = None
             ) -> "CrossProductTransform":
-        """Build per-pair vocabularies from the training id matrix ``x``."""
+        """Build per-pair vocabularies from the training id matrix ``x``:
+        the one-chunk case of :meth:`fit_sketch`."""
+        from .sketches import CrossSketch  # sketches builds on this module
+
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.schema.num_fields:
             raise ValueError(
@@ -54,19 +57,23 @@ class CrossProductTransform:
             )
         if cardinalities is None:
             cardinalities = self.schema.cardinalities
-        self._field_cards = list(cardinalities)
-        for col, card in enumerate(self._field_cards):
+        for col, card in enumerate(cardinalities):
             column = x[:, col]
             if column.size and (column.min() < 0 or column.max() >= card):
                 raise ValueError(
                     f"field {col} ids must be in [0, {card}); "
                     f"got min={column.min()}, max={column.max()}"
                 )
-        self._kept_keys = []
-        for i, j in self.pairs:
-            keys = _pair_keys(x, i, j, self._field_cards[j])
-            unique, counts = np.unique(keys, return_counts=True)
-            self._kept_keys.append(unique[counts >= self.min_count])
+        sketch = CrossSketch(self.pairs, cardinalities).update(x)
+        return self.fit_sketch(sketch)
+
+    def fit_sketch(self, sketch) -> "CrossProductTransform":
+        """Freeze the per-pair vocabularies counted by a
+        :class:`~repro.data.sketches.CrossSketch` — one chunk or many."""
+        if sketch.pairs != self.pairs:
+            raise ValueError("schema pair layout does not match the sketch")
+        self._field_cards = list(sketch.field_cards)
+        self._kept_keys = sketch.kept_keys(self.min_count)
         self._fitted = True
         return self
 

@@ -23,14 +23,16 @@ guarantees:
    columns are filled as missing (lenient) or rejected; a missing label
    column is always fatal.
 4. **Resumable, bit-for-bit chunked fitting** — the pipeline statistics
-   are accumulated with the mergeable sketches of
+   are accumulated with the exact sketches of
    :mod:`repro.data.sketches`, checkpointed after every chunk with the
    checksummed-archive pattern of :mod:`repro.resilience.checkpoint`,
    and an ingest killed mid-run resumes by skipping completed chunks.
-   The finalised vocabularies, bucket boundaries and encoded dataset
-   are **bit-for-bit identical** to an in-memory
-   :meth:`CTRPipeline.fit_transform` on the same clean rows
-   (``tests/data/test_ingest_differential.py`` enforces this).
+   The fit is :class:`CTRPipeline`'s own — an in-memory
+   :meth:`CTRPipeline.fit` is its one-chunk case — so the finalised
+   vocabularies, bucket boundaries and encoded dataset are **bit-for-bit
+   identical** to :meth:`CTRPipeline.fit_transform` on the same clean
+   rows at any chunk size (``tests/data/test_ingest_differential.py``
+   checks both against a formula reference).
 
 The run is observable end to end: ``ingest.*`` counters/gauges on the
 injected :class:`~repro.obs.metrics.MetricsRegistry`,
@@ -59,10 +61,8 @@ from .dataset import CTRDataset
 from .errors import (ArityError, BadLabelError, BadNumericError, IngestError,
                      ResumeError, RowError, RowParseError, SchemaError,
                      TruncatedFileError, TruncatedRowError)
-from .loaders import CTRPipeline, _median_fill, _parse_floats
-from .schema import make_schema
-from .sketches import (CategoricalSketch, CrossSketch, LabelSketch,
-                       NumericSketch)
+from .loaders import CTRPipeline, FieldSketches
+from .sketches import CategoricalSketch, LabelSketch, NumericSketch
 
 PathLike = Union[str, Path]
 
@@ -119,12 +119,7 @@ class IngestConfig:
     resume: bool = False
 
     def __post_init__(self) -> None:
-        overlap = set(self.categorical) & set(self.continuous)
-        if overlap:
-            raise ValueError(f"columns both categorical and continuous: "
-                             f"{sorted(overlap)}")
-        if not self.categorical and not self.continuous:
-            raise ValueError("at least one feature column is required")
+        self.pipeline()  # the pipeline's own column checks
         if self.on_error not in ON_ERROR_POLICIES:
             raise ValueError(f"on_error must be one of {ON_ERROR_POLICIES}, "
                              f"got {self.on_error!r}")
@@ -146,6 +141,15 @@ class IngestConfig:
     def field_names(self) -> List[str]:
         """Dataset field order: continuous then categorical (pipeline rule)."""
         return list(self.continuous) + list(self.categorical)
+
+    def pipeline(self) -> CTRPipeline:
+        """The unfitted pipeline this run fits, chunk by chunk."""
+        return CTRPipeline(
+            categorical=self.categorical, continuous=self.continuous,
+            label=self.label, min_count=self.min_count,
+            num_buckets=self.num_buckets,
+            cross_min_count=self.cross_min_count,
+            build_cross=self.build_cross, dataset_name=self.dataset_name)
 
     def fingerprint(self) -> str:
         """Hash of every output-determining knob, for resume safety."""
@@ -640,32 +644,19 @@ class ChunkedIngestor:
             yield make_chunk()
 
     # -- encoding ---------------------------------------------------------
+    def _columns(self, rows: List[_ParsedRow]) -> Dict[str, np.ndarray]:
+        """Validated rows → raw feature columns keyed by field name."""
+        return {name: np.array([row.values[col_idx] for row in rows],
+                               dtype=object)
+                for col_idx, name in enumerate(self.config.field_names)}
+
     def _encode_chunk(self, rows: List[_ParsedRow],
                       pipeline: CTRPipeline
                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows → (x ids, y labels) through the *fitted* pipeline parts.
-
-        Performs exactly the element-wise operations of
-        ``CTRPipeline._encode(fit=False)`` so chunk concatenation equals
-        the one-shot encode.
-        """
-        field_names = self.config.field_names
-        n = len(rows)
-        x = np.empty((n, len(field_names)), dtype=np.int64)
-        y = np.empty(n, dtype=np.float64)
-        for i, row in enumerate(rows):
-            y[i] = row.label
-        continuous = set(self.config.continuous)
-        for col_idx, name in enumerate(field_names):
-            column = np.array([row.values[col_idx] for row in rows],
-                              dtype=object)
-            if name in continuous:
-                floats, missing = _parse_floats(column)
-                if missing.any():
-                    floats[missing] = pipeline._fill_values[name]
-                column = pipeline._bucketizers[name].transform(floats)
-            x[:, col_idx] = pipeline._vocabularies[name].transform(column)
-        return x, y
+        """Rows → (x ids, y labels) through the pipeline's one encoder,
+        so chunk concatenation equals the one-shot encode."""
+        y = np.array([row.label for row in rows], dtype=np.float64)
+        return pipeline._encode(self._columns(rows)), y
 
     # -- manifest ---------------------------------------------------------
     def _write_manifest(self, state: Dict[str, Any]) -> None:
@@ -721,38 +712,34 @@ class ChunkedIngestor:
         self.report.schema_reordered = bool(schema.get("reordered", False))
 
     # -- sketch state (stage 1 checkpoints) --------------------------------
-    def _sketch_state(self, cats: Dict[str, CategoricalSketch],
-                      nums: Dict[str, NumericSketch], labels: LabelSketch
+    def _sketch_state(self, sketches: FieldSketches, labels: LabelSketch
                       ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
         arrays: Dict[str, np.ndarray] = {}
         meta: Dict[str, Any] = {"cat": {}, "num": {}, "label": {}}
-        for name, sketch in cats.items():
-            _, cat_meta = sketch.to_state()
-            meta["cat"][name] = cat_meta
-        for name, sketch in nums.items():
-            num_arrays, num_meta = sketch.to_state()
-            for key, value in num_arrays.items():
-                arrays[f"num/{name}/{key}"] = value
-            meta["num"][name] = num_meta
+        for name, sketch in sketches.items():
+            kind = "num" if isinstance(sketch, NumericSketch) else "cat"
+            sketch_arrays, meta[kind][name] = sketch.to_state()
+            for key, value in sketch_arrays.items():
+                arrays[f"{kind}/{name}/{key}"] = value
         _, meta["label"] = labels.to_state()
         return arrays, meta
 
     def _sketches_from_state(self, arrays: Dict[str, np.ndarray],
                              meta: Dict[str, Any]
-                             ) -> Tuple[Dict[str, CategoricalSketch],
-                                        Dict[str, NumericSketch],
-                                        LabelSketch]:
-        cats = {name: CategoricalSketch.from_state({}, cat_meta)
-                for name, cat_meta in meta["cat"].items()}
-        nums = {}
-        for name, num_meta in meta["num"].items():
-            num_arrays = {
-                key.split("/", 2)[2]: value
-                for key, value in arrays.items()
-                if key.startswith(f"num/{name}/")}
-            nums[name] = NumericSketch.from_state(num_arrays, num_meta)
-        labels = LabelSketch.from_state({}, meta["label"])
-        return cats, nums, labels
+                             ) -> Tuple[FieldSketches, LabelSketch]:
+        sketches: FieldSketches = {}
+        for name in self.config.field_names:
+            if name in meta["num"]:
+                prefix = f"num/{name}/"  # a column name may hold "/"
+                sketches[name] = NumericSketch.from_state(
+                    {key[len(prefix):]: value
+                     for key, value in arrays.items()
+                     if key.startswith(prefix)},
+                    meta["num"][name])
+            else:
+                sketches[name] = CategoricalSketch.from_state(
+                    {}, meta["cat"][name])
+        return sketches, LabelSketch.from_state({}, meta["label"])
 
     # -- the run ----------------------------------------------------------
     def run(self) -> IngestResult:
@@ -805,8 +792,8 @@ class ChunkedIngestor:
 
         # ---- stage 1: accumulate fit statistics ------------------------
         self._read_header(reader)
-        cats = {name: CategoricalSketch() for name in config.categorical}
-        nums = {name: NumericSketch() for name in config.continuous}
+        pipeline = config.pipeline()
+        sketches = pipeline._field_sketches()
         labels = LabelSketch()
 
         stage1_done = False
@@ -817,7 +804,7 @@ class ChunkedIngestor:
             stage1 = manifest.get("stage1", {})
             if stage1.get("chunks", 0) > 0 or stage1.get("done"):
                 arrays, meta = read_archive(workdir / _STAGE1_NAME)
-                cats, nums, labels = self._sketches_from_state(
+                sketches, labels = self._sketches_from_state(
                     arrays, meta["sketches"])
                 offset = int(stage1.get("offset", offset))
                 line = int(stage1.get("line", line))
@@ -844,7 +831,8 @@ class ChunkedIngestor:
                     with self.tracer.span("ingest.validate",
                                           rows=chunk.lines_read):
                         pass  # validation happened while reading the chunk
-                    self._observe_fit_chunk(chunk, cats, nums, labels)
+                    self._observe_fit_chunk(chunk, pipeline, sketches,
+                                            labels)
                 self.report.chunks += 1
                 self._count("ingest.chunks")
                 self.metrics.gauge("ingest.offset_bytes").set(
@@ -854,7 +842,7 @@ class ChunkedIngestor:
                                 "line": chunk.end_line, "done": False}
                 if workdir is not None:
                     self._flush_quarantine()
-                    arrays, sketch_meta = self._sketch_state(cats, nums,
+                    arrays, sketch_meta = self._sketch_state(sketches,
                                                              labels)
                     write_archive(workdir / _STAGE1_NAME, arrays,
                                   {"sketches": sketch_meta,
@@ -866,7 +854,7 @@ class ChunkedIngestor:
                     self.on_chunk("fit", chunk.index)
             stage1_state["done"] = True
             if workdir is not None:
-                arrays, sketch_meta = self._sketch_state(cats, nums, labels)
+                arrays, sketch_meta = self._sketch_state(sketches, labels)
                 write_archive(workdir / _STAGE1_NAME, arrays,
                               {"sketches": sketch_meta,
                                "progress": stage1_state})
@@ -879,14 +867,11 @@ class ChunkedIngestor:
         if labels.total == 0 or self.report.rows_ok == 0:
             raise IngestError("no valid rows in input", path=self.path)
 
-        pipeline = self._finalize_pipeline(cats, nums, labels)
+        cross_sketch = pipeline._fit_sketches(sketches, labels)
 
         # ---- stage 2: encode + cross statistics ------------------------
         x_chunks: List[np.ndarray] = []
         y_chunks: List[np.ndarray] = []
-        cross_sketch = (CrossSketch(pipeline._schema.pairs(),
-                                    pipeline._cardinalities)
-                        if config.build_cross else None)
 
         offset, line = self._data_offset, 1 if config.header else 0
         next_chunk = 0
@@ -956,86 +941,18 @@ class ChunkedIngestor:
             0, dtype=np.float64)
         if len(x) == 0:
             raise IngestError("no valid rows in input", path=self.path)
+        pipeline._finish_fit(cross_sketch)
+        return IngestResult(dataset=pipeline._dataset(x, y),
+                            pipeline=pipeline, report=self.report)
 
-        cross = None
-        x_cross = None
-        cross_cards = None
-        if cross_sketch is not None:
-            cross = cross_sketch.finalize(pipeline._schema,
-                                          min_count=config.cross_min_count)
-            pipeline._cross = cross
-            x_cross = cross.transform(x)
-            cross_cards = cross.cardinalities
-
-        dataset = CTRDataset(schema=pipeline._schema, x=x, y=y,
-                             cardinalities=pipeline._cardinalities,
-                             x_cross=x_cross,
-                             cross_cardinalities=cross_cards)
-        return IngestResult(dataset=dataset, pipeline=pipeline,
-                            report=self.report)
-
-    def _observe_fit_chunk(self, chunk: _Chunk,
-                           cats: Dict[str, CategoricalSketch],
-                           nums: Dict[str, NumericSketch],
+    def _observe_fit_chunk(self, chunk: _Chunk, pipeline: CTRPipeline,
+                           sketches: FieldSketches,
                            labels: LabelSketch) -> None:
         if not chunk.rows:
             return
-        field_names = self.config.field_names
         labels.update(np.array([row.label for row in chunk.rows],
                                dtype=np.float64))
-        for col_idx, name in enumerate(field_names):
-            column = np.array([row.values[col_idx] for row in chunk.rows],
-                              dtype=object)
-            if name in nums:
-                floats, _ = _parse_floats(column)
-                nums[name].update(floats)
-            else:
-                cats[name].update(column)
-
-    def _finalize_pipeline(self, cats: Dict[str, CategoricalSketch],
-                           nums: Dict[str, NumericSketch],
-                           labels: LabelSketch) -> CTRPipeline:
-        """Sketches → a fitted pipeline, formula-for-formula matching
-        ``CTRPipeline.fit``."""
-        config = self.config
-        vocabularies = {}
-        bucketizers = {}
-        fill_values = {}
-        for name in config.continuous:
-            fill, bucketizer, vocabulary = nums[name].finalize(
-                config.num_buckets, vocab_min_count=config.min_count)
-            fill_values[name] = fill
-            bucketizers[name] = bucketizer
-            vocabularies[name] = vocabulary
-        for name in config.categorical:
-            vocabularies[name] = cats[name].finalize(
-                min_count=config.min_count)
-        field_names = config.field_names
-        cardinalities = [vocabularies[name].size for name in field_names]
-        positives = labels.mean()
-        schema = make_schema(
-            cardinalities,
-            name=config.dataset_name,
-            positive_ratio=float(np.clip(positives, 1e-6, 1 - 1e-6)),
-            continuous_fields=tuple(range(len(config.continuous))),
-            field_names=field_names,
-        )
-        return CTRPipeline._from_fitted_state(
-            categorical=config.categorical,
-            continuous=config.continuous,
-            label=config.label,
-            min_count=config.min_count,
-            num_buckets=config.num_buckets,
-            cross_min_count=config.cross_min_count,
-            build_cross=config.build_cross,
-            dataset_name=config.dataset_name,
-            vocabularies=vocabularies,
-            bucketizers=bucketizers,
-            fill_values=fill_values,
-            schema=schema,
-            cardinalities=cardinalities,
-            cross=None,  # installed after the stage-2 sweep
-        )
+        pipeline._observe(sketches, self._columns(chunk.rows))
 
 
 def ingest_file(path: PathLike, config: IngestConfig, **kwargs: Any

@@ -32,9 +32,12 @@ from .dataset import CTRDataset
 from .errors import ArityError, IngestError, SchemaError
 from .preprocessing import QuantileBucketizer
 from .schema import Schema, make_schema
+from .sketches import (CategoricalSketch, CrossSketch, LabelSketch,
+                       NumericSketch)
 from .vocabulary import Vocabulary
 
 Columns = Dict[str, np.ndarray]
+FieldSketches = Dict[str, Union[CategoricalSketch, NumericSketch]]
 PathLike = Union[str, Path]
 
 
@@ -140,20 +143,21 @@ def _parse_floats(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return out, missing
 
 
-def _median_fill(out: np.ndarray, missing: np.ndarray) -> float:
-    """The imputation value for a parsed column: median of the present
-    entries, or 0.0 when every entry is missing."""
-    if missing.all():
-        return 0.0
-    return float(np.median(out[~missing]))
-
-
 def _to_float(values: np.ndarray) -> np.ndarray:
-    """Parse a column, imputing missing entries with its own median."""
+    """Parse a column, imputing missing entries with the median of the
+    present ones (0.0 when every entry is missing)."""
     out, missing = _parse_floats(values)
     if missing.any():
-        out[missing] = _median_fill(out, missing)
+        out[missing] = 0.0 if missing.all() else np.median(out[~missing])
     return out
+
+
+def _binary_labels(values: np.ndarray) -> np.ndarray:
+    """Parse a label column; anything but 0/1 raises ``ValueError``."""
+    y = _to_float(values)
+    if not set(np.unique(y)).issubset({0.0, 1.0}):
+        raise ValueError("label column must be binary 0/1")
+    return y
 
 
 @dataclass
@@ -230,49 +234,95 @@ class CTRPipeline:
         if missing:
             raise KeyError(f"columns absent from input: {missing}")
 
-    def _encode(self, columns: Columns, fit: bool) -> np.ndarray:
-        n = len(columns[self.label])
+    def _encode(self, columns: Columns) -> np.ndarray:
+        """Raw feature columns → the id matrix, through the fitted parts."""
+        n = len(columns[self.field_names[0]])
         x = np.empty((n, len(self.field_names)), dtype=np.int64)
         for col_idx, name in enumerate(self.field_names):
             values = columns[name]
             if name in self.continuous:
                 floats, missing = _parse_floats(values)
-                if fit:
-                    self._fill_values[name] = _median_fill(floats, missing)
                 if missing.any():
                     floats[missing] = self._fill_values[name]
-                if fit:
-                    self._bucketizers[name] = QuantileBucketizer(
-                        num_buckets=self.num_buckets).fit(floats)
-                codes = self._bucketizers[name].transform(floats)
-                values = codes
-            if fit:
-                self._vocabularies[name] = Vocabulary(
-                    min_count=self.min_count).fit(values)
+                values = self._bucketizers[name].transform(floats)
             x[:, col_idx] = self._vocabularies[name].transform(values)
         return x
+
+    # -- the one fit: sketches over chunks, then finalize -----------------
+    # ``fit`` below feeds all the columns as one chunk; the streaming
+    # ingest (:mod:`repro.data.ingest`) feeds them chunk by chunk.
+    def _field_sketches(self) -> FieldSketches:
+        """One empty sketch per field, in field order."""
+        return {name: NumericSketch() if name in self.continuous
+                else CategoricalSketch() for name in self.field_names}
+
+    def _observe(self, sketches: FieldSketches, columns: Columns) -> None:
+        """Count one chunk of raw feature columns into ``sketches``;
+        continuous columns are parsed to floats (NaN = missing) first."""
+        for name, sketch in sketches.items():
+            values = columns[name]
+            if name in self.continuous:
+                values, _ = _parse_floats(values)
+            sketch.update(values)
+
+    def _fit_sketches(self, sketches: FieldSketches, labels: LabelSketch
+                      ) -> Optional[CrossSketch]:
+        """Finished field/label sketches → vocabularies, bucketizers,
+        fill values, cardinalities and schema.  Returns the empty cross
+        sketch the encoded rows must fill before :meth:`_finish_fit`
+        (``None`` without crosses)."""
+        for name in self.continuous:
+            (self._fill_values[name], self._bucketizers[name],
+             self._vocabularies[name]) = sketches[name].finalize(
+                self.num_buckets, vocab_min_count=self.min_count)
+        for name in self.categorical:
+            self._vocabularies[name] = sketches[name].finalize(
+                min_count=self.min_count)
+        self._cardinalities = [self._vocabularies[name].size
+                               for name in self.field_names]
+        self._schema = make_schema(
+            self._cardinalities,
+            name=self.dataset_name,
+            positive_ratio=float(np.clip(labels.mean(), 1e-6, 1 - 1e-6)),
+            continuous_fields=tuple(range(len(self.continuous))),
+            field_names=self.field_names,
+        )
+        if not self.build_cross:
+            return None
+        return CrossSketch(self._schema.pairs(), self._cardinalities)
+
+    def _finish_fit(self, cross: Optional[CrossSketch]) -> None:
+        """Freeze the cross vocabulary (when built) and mark the fit done."""
+        if cross is not None:
+            self._cross = cross.finalize(self._schema,
+                                         min_count=self.cross_min_count)
+        self._fitted = True
+
+    def _dataset(self, x: np.ndarray, y: np.ndarray) -> CTRDataset:
+        """Wrap encoded ids and labels, adding the cross ids."""
+        cross = self._cross
+        return CTRDataset(
+            schema=self._schema,
+            x=x,
+            y=y,
+            cardinalities=self._cardinalities,
+            x_cross=cross.transform(x) if cross is not None else None,
+            cross_cardinalities=(cross.cardinalities
+                                 if cross is not None else None),
+        )
 
     def fit(self, columns: Columns) -> "CTRPipeline":
         """Fit all vocabularies / bucketizers / crosses on training columns."""
         if self._fitted:
             raise RuntimeError("pipeline is already fitted")
         self._check_columns(columns)
-        x = self._encode(columns, fit=True)
-        self._cardinalities = [self._vocabularies[name].size
-                               for name in self.field_names]
-        positives = _to_float(columns[self.label]).mean()
-        self._schema = make_schema(
-            self._cardinalities,
-            name=self.dataset_name,
-            positive_ratio=float(np.clip(positives, 1e-6, 1 - 1e-6)),
-            continuous_fields=tuple(range(len(self.continuous))),
-            field_names=self.field_names,
-        )
-        if self.build_cross:
-            self._cross = CrossProductTransform(
-                self._schema, min_count=self.cross_min_count)
-            self._cross.fit(x, self._cardinalities)
-        self._fitted = True
+        labels = LabelSketch().update(_binary_labels(columns[self.label]))
+        sketches = self._field_sketches()
+        self._observe(sketches, columns)
+        cross = self._fit_sketches(sketches, labels)
+        if cross is not None:
+            cross.update(self._encode(columns))
+        self._finish_fit(cross)
         return self
 
     def transform(self, columns: Columns) -> CTRDataset:
@@ -280,20 +330,8 @@ class CTRPipeline:
         if not self._fitted:
             raise RuntimeError("pipeline must be fitted before transform")
         self._check_columns(columns)
-        x = self._encode(columns, fit=False)
-        y = _to_float(columns[self.label])
-        if not set(np.unique(y)).issubset({0.0, 1.0}):
-            raise ValueError("label column must be binary 0/1")
-        x_cross = self._cross.transform(x) if self._cross is not None else None
-        return CTRDataset(
-            schema=self._schema,
-            x=x,
-            y=y,
-            cardinalities=self._cardinalities,
-            x_cross=x_cross,
-            cross_cardinalities=(self._cross.cardinalities
-                                 if self._cross is not None else None),
-        )
+        x = self._encode(columns)
+        return self._dataset(x, _binary_labels(columns[self.label]))
 
     def fit_transform(self, columns: Columns) -> CTRDataset:
         return self.fit(columns).transform(columns)
@@ -310,44 +348,6 @@ class CTRPipeline:
         if not self._fitted:
             raise RuntimeError("pipeline must be fitted first")
         return self._schema
-
-    @classmethod
-    def _from_fitted_state(
-        cls, *,
-        categorical: Sequence[str],
-        continuous: Sequence[str],
-        label: str,
-        min_count: int,
-        num_buckets: int,
-        cross_min_count: int,
-        build_cross: bool,
-        dataset_name: str,
-        vocabularies: Dict[str, Vocabulary],
-        bucketizers: Dict[str, QuantileBucketizer],
-        fill_values: Dict[str, float],
-        schema: Schema,
-        cardinalities: List[int],
-        cross: Optional[CrossProductTransform],
-    ) -> "CTRPipeline":
-        """Assemble an already-fitted pipeline from its components.
-
-        The streaming ingest path (:mod:`repro.data.ingest`) fits the
-        same objects chunk by chunk and installs them here, so the
-        result supports ``transform`` exactly like an in-memory fit.
-        """
-        pipeline = cls(categorical=categorical, continuous=continuous,
-                       label=label, min_count=min_count,
-                       num_buckets=num_buckets,
-                       cross_min_count=cross_min_count,
-                       build_cross=build_cross, dataset_name=dataset_name)
-        pipeline._vocabularies = dict(vocabularies)
-        pipeline._bucketizers = dict(bucketizers)
-        pipeline._fill_values = dict(fill_values)
-        pipeline._schema = schema
-        pipeline._cardinalities = list(cardinalities)
-        pipeline._cross = cross
-        pipeline._fitted = True
-        return pipeline
 
 
 def negative_downsample(dataset: CTRDataset, rate: float,

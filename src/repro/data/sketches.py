@@ -1,13 +1,13 @@
-"""Mergeable, checkpointable accumulators for streaming pipeline fitting.
+"""Exact, checkpointable accumulators: the one way a pipeline is fitted.
 
-Fitting a :class:`~repro.data.loaders.CTRPipeline` in memory needs four
-global statistics: per-categorical-field value frequencies, the exact
-value distribution of each continuous field (median imputation + quantile
+Fitting a :class:`~repro.data.loaders.CTRPipeline` needs four global
+statistics: per-categorical-field value frequencies, the exact value
+distribution of each continuous field (median imputation + quantile
 bucket edges), the label mean, and per-pair cross-product key
 frequencies.  Each has an **exact** streaming form — an accumulator that
-is updated chunk by chunk, merged across partial runs, serialised into a
-checkpoint, and finalised into *bit-for-bit* the same fitted objects the
-in-memory path produces:
+is updated chunk by chunk, serialised into a checkpoint, and finalised
+into the fitted objects.  ``CTRPipeline.fit`` on in-memory columns is
+the one-chunk case of the streamed ingest fit:
 
 * :class:`CategoricalSketch` — a frequency table; finalises through
   :meth:`Vocabulary.from_counts`, which is defined to equal a one-shot
@@ -16,20 +16,20 @@ in-memory path produces:
   distinct floats a CTR integer column takes, plus a missing-count.
   ``np.median`` / ``np.quantile`` depend only on the *multiset* of
   values, so reconstructing ``repeat(distinct, counts)`` and calling the
-  very same numpy routines reproduces the in-memory median / bucket
-  edges bit for bit.
+  numpy routines on it gives the median / bucket edges of the column.
 * :class:`LabelSketch` — integer positive/total counts.  For binary 0/1
   labels, ``np.mean`` pairwise-sums exactly representable integers, so
   ``positives / total`` in float64 is the identical value.
-* :class:`CrossSketch` — per-pair key frequencies over encoded ids;
-  finalises into a fitted
+* :class:`CrossSketch` — per-pair ``np.unique`` key runs over encoded
+  id chunks; finalises into a fitted
   :class:`~repro.data.cross.CrossProductTransform` whose kept-key arrays
   equal ``np.unique`` + threshold on the concatenated stream.
 
-Every sketch exposes ``update`` (one chunk), ``merge`` (combine partial
-runs), ``to_state`` / ``from_state`` (plain arrays + JSON-able metadata
-for the checksummed chunk checkpoints) — the contract
-``tests/data/test_ingest_differential.py`` enforces.
+Every sketch exposes ``update`` (one chunk); the field and label sketches
+also expose ``to_state`` / ``from_state`` (plain arrays + JSON-able
+metadata for the checksummed stage-1 checkpoints of
+:mod:`repro.data.ingest`).  The cross sketch is never persisted: a
+resumed ingest replays its encoded chunk archives into a fresh one.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class CategoricalSketch:
 
     def update(self, values: Iterable[str]) -> "CategoricalSketch":
         self.counts.update(values)
-        return self
-
-    def merge(self, other: "CategoricalSketch") -> "CategoricalSketch":
-        self.counts.update(other.counts)
         return self
 
     def finalize(self, min_count: int = 1) -> Vocabulary:
@@ -106,47 +102,22 @@ class NumericSketch:
                 self.counts[key] = self.counts.get(key, 0) + int(count)
         return self
 
-    def merge(self, other: "NumericSketch") -> "NumericSketch":
-        self.missing += other.missing
-        for value, count in other.counts.items():
-            self.counts[value] = self.counts.get(value, 0) + count
-        return self
+    def finalize(self, num_buckets: int, vocab_min_count: int = 1
+                 ) -> Tuple[float, QuantileBucketizer, Vocabulary]:
+        """``(fill_value, bucketizer, code_vocabulary)`` — the fitted
+        objects ``CTRPipeline`` encodes this column with.
 
-    @property
-    def total(self) -> int:
-        return self.missing + sum(self.counts.values())
-
-    def _multisets(self) -> Tuple[np.ndarray, float, np.ndarray]:
-        """``(non_missing, fill_value, imputed)`` reconstructed multisets.
-
-        The arrays are sorted reconstructions of the column; every numpy
-        statistic used downstream (median, quantile) is order-invariant,
-        so they stand in exactly for the original unsorted column.
+        The column is rebuilt as a sorted multiset with its missing
+        entries imputed by the median of the present ones (0.0 when none
+        is present); median and quantile are order-invariant, so it
+        stands in exactly for the original column.
         """
         if not self.counts and not self.missing:
             raise ValueError("cannot finalize an empty numeric sketch")
         values = np.array(sorted(self.counts), dtype=np.float64)
-        counts = np.array([self.counts[v] for v in values], dtype=np.int64)
-        non_missing = np.repeat(values, counts)
-        if self.missing:
-            if non_missing.size == 0:
-                # All-missing column: the in-memory path zero-fills.
-                fill = 0.0
-                imputed = np.zeros(self.missing, dtype=np.float64)
-            else:
-                fill = float(np.median(non_missing))
-                imputed = np.concatenate(
-                    [non_missing, np.full(self.missing, fill)])
-        else:
-            fill = float(np.median(non_missing))
-            imputed = non_missing
-        return non_missing, fill, imputed
-
-    def finalize(self, num_buckets: int, vocab_min_count: int = 1
-                 ) -> Tuple[float, QuantileBucketizer, Vocabulary]:
-        """``(fill_value, bucketizer, code_vocabulary)`` — the exact
-        objects ``CTRPipeline._encode(fit=True)`` builds for this column."""
-        _, fill, imputed = self._multisets()
+        present = np.repeat(values, [self.counts[v] for v in values])
+        fill = float(np.median(present)) if present.size else 0.0
+        imputed = np.concatenate([present, np.full(self.missing, fill)])
         bucketizer = QuantileBucketizer(num_buckets=num_buckets).fit(imputed)
         codes = bucketizer.transform(imputed)
         vocabulary = Vocabulary(min_count=vocab_min_count).fit(codes)
@@ -181,11 +152,6 @@ class LabelSketch:
         self.positives += int(labels.sum())
         return self
 
-    def merge(self, other: "LabelSketch") -> "LabelSketch":
-        self.total += other.total
-        self.positives += other.positives
-        return self
-
     def mean(self) -> float:
         """Exactly ``np.mean`` of the 0/1 stream (integer sums are exact)."""
         if self.total == 0:
@@ -204,70 +170,47 @@ class LabelSketch:
 
 
 class CrossSketch:
-    """Per-pair cross-key frequency tables over encoded id chunks."""
+    """Per-pair cross-key counts over encoded id chunks.
+
+    ``update`` appends each pair's ``np.unique(keys, return_counts=True)``
+    run; :meth:`kept_keys` merges the runs once, so a one-chunk sketch
+    costs one ``np.unique`` per pair.
+    """
 
     def __init__(self, pairs: Sequence[Tuple[int, int]],
                  field_cards: Sequence[int]) -> None:
         self.pairs = list(pairs)
         self.field_cards = list(field_cards)
-        self.counts: List[Dict[int, int]] = [dict() for _ in self.pairs]
+        self._runs: List[List[Tuple[np.ndarray, np.ndarray]]] = [
+            [] for _ in self.pairs]
 
     def update(self, x: np.ndarray) -> "CrossSketch":
         x = np.asarray(x)
-        for pair_idx, (i, j) in enumerate(self.pairs):
+        for runs, (i, j) in zip(self._runs, self.pairs):
             keys = _pair_keys(x, i, j, self.field_cards[j])
-            unique, counts = np.unique(keys, return_counts=True)
-            table = self.counts[pair_idx]
-            for key, count in zip(unique, counts):
-                ikey = int(key)
-                table[ikey] = table.get(ikey, 0) + int(count)
+            runs.append(np.unique(keys, return_counts=True))
         return self
 
-    def merge(self, other: "CrossSketch") -> "CrossSketch":
-        if other.pairs != self.pairs or other.field_cards != self.field_cards:
-            raise ValueError("cannot merge cross sketches over different "
-                             "pair layouts")
-        for mine, theirs in zip(self.counts, other.counts):
-            for key, count in theirs.items():
-                mine[key] = mine.get(key, 0) + count
-        return self
+    def kept_keys(self, min_count: int = 1) -> List[np.ndarray]:
+        """Per pair, the sorted keys counted at least ``min_count`` times."""
+        kept = []
+        for runs in self._runs:
+            if len(runs) == 1:
+                keys, counts = runs[0]
+            else:
+                empty = [np.empty(0, dtype=np.int64)]
+                keys, inverse = np.unique(
+                    np.concatenate(empty + [k for k, _ in runs]),
+                    return_inverse=True)
+                # float64 sums of integer counts are exact below 2**53
+                counts = np.bincount(
+                    inverse, minlength=keys.size,
+                    weights=np.concatenate(empty + [c for _, c in runs]))
+            kept.append(keys[counts >= min_count])
+        return kept
 
     def finalize(self, schema: Schema,
                  min_count: int = 1) -> CrossProductTransform:
-        """A fitted transform equal to ``fit`` on the concatenated ids.
-
-        ``np.unique`` returns sorted keys, so the kept-key array for a
-        pair is exactly the sorted thresholded key set.
-        """
-        transform = CrossProductTransform(schema, min_count=min_count)
-        if transform.pairs != self.pairs:
-            raise ValueError("schema pair layout does not match the sketch")
-        transform._field_cards = list(self.field_cards)
-        transform._kept_keys = [
-            np.array(sorted(k for k, c in table.items() if c >= min_count),
-                     dtype=np.int64)
-            for table in self.counts
-        ]
-        transform._fitted = True
-        return transform
-
-    # -- checkpoint state ------------------------------------------------
-    def to_state(self) -> Tuple[Arrays, Meta]:
-        arrays: Arrays = {}
-        for pair_idx, table in enumerate(self.counts):
-            keys = np.array(sorted(table), dtype=np.int64)
-            arrays[f"keys_{pair_idx}"] = keys
-            arrays[f"counts_{pair_idx}"] = np.array(
-                [table[int(k)] for k in keys], dtype=np.int64)
-        return arrays, {"pairs": [list(p) for p in self.pairs],
-                        "field_cards": list(self.field_cards)}
-
-    @classmethod
-    def from_state(cls, arrays: Arrays, meta: Meta) -> "CrossSketch":
-        sketch = cls([tuple(p) for p in meta["pairs"]], meta["field_cards"])
-        for pair_idx in range(len(sketch.pairs)):
-            keys = arrays[f"keys_{pair_idx}"]
-            counts = arrays[f"counts_{pair_idx}"]
-            sketch.counts[pair_idx] = {
-                int(k): int(c) for k, c in zip(keys, counts)}
-        return sketch
+        """A fitted transform equal to ``fit`` on the concatenated ids."""
+        return CrossProductTransform(schema,
+                                     min_count=min_count).fit_sketch(self)

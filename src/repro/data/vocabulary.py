@@ -95,42 +95,6 @@ class Vocabulary:
         return self.size
 
 
-class StreamingVocabulary:
-    """Two-pass vocabulary building for larger-than-memory files.
-
-    First pass: call :meth:`update` on each chunk of values (counts
-    accumulate).  Then :meth:`finalize` freezes the mapping exactly as a
-    one-shot :class:`Vocabulary` fit on the concatenated stream would.
-    """
-
-    def __init__(self, min_count: int = 1) -> None:
-        if min_count < 1:
-            raise ValueError(f"min_count must be >= 1, got {min_count}")
-        self.min_count = min_count
-        self._counts: Counter = Counter()
-        self._vocabulary: "Vocabulary | None" = None
-
-    def update(self, values: Iterable[Hashable]) -> "StreamingVocabulary":
-        """Accumulate counts from one chunk of the stream."""
-        if self._vocabulary is not None:
-            raise RuntimeError("vocabulary is already finalized")
-        self._counts.update(values)
-        return self
-
-    def finalize(self) -> Vocabulary:
-        """Freeze into an ordinary :class:`Vocabulary`."""
-        if self._vocabulary is not None:
-            return self._vocabulary
-        self._vocabulary = Vocabulary.from_counts(self._counts,
-                                                  min_count=self.min_count)
-        return self._vocabulary
-
-    @property
-    def seen_values(self) -> int:
-        """Distinct values observed so far (before thresholding)."""
-        return len(self._counts)
-
-
 class FieldVocabularies:
     """Per-field vocabularies over a 2-D array of raw categorical values."""
 

@@ -276,24 +276,30 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
     golden = GoldenSet(list(valid_requests(bundle.full.schema,
                                            count=golden_requests)))
 
-    def build_replica_service(replica_id: int) -> PredictionService:
-        """Build (or rebuild, for quarantined restarts) one replica.
+    def build_replica_service(replica_id: int,
+                              boot: bool = False) -> PredictionService:
+        """Build one replica; the pool calls it again for restarts.
 
-        Called again at restart time, so the checkpoint pick re-reads
-        the rollout manifest: a replica restarted after a rollback must
-        not reload the checkpoint the fleet just rolled away from.
+        At boot every replica takes the boot pick's weights and version,
+        and replica 0 serves the boot model itself.  A restart re-reads
+        the rollout manifest, so a replica restarted after a rollback
+        does not reload the checkpoint the fleet just rolled away from;
+        it starts from clean weights (``state_dict`` copies).
         """
-        rep_model = model_factory()
         state = initial_state
         rep_version = version
-        if manager is not None and weights is None:
+        if not boot and manager is not None and weights is None:
             picked = select_initial_checkpoint(
                 manager, RolloutManifest.load(manifest_path))
             if picked is not None:
                 ckpt, _path = picked
                 state = ckpt.model_state
                 rep_version = f"epoch-{ckpt.epoch:08d}"
-        rep_model.load_state_dict(state)
+        if boot and replica_id == 0:
+            rep_model = model
+        else:
+            rep_model = model_factory()
+            rep_model.load_state_dict(state)
         registry = MetricsRegistry()
         return PredictionService(
             rep_model, bundle.full.schema,
@@ -308,7 +314,8 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
             drift=make_drift(registry),
             model_version=rep_version)
 
-    services = [build_replica_service(i) for i in range(replicas)]
+    services = [build_replica_service(i, boot=True)
+                for i in range(replicas)]
     # Chaos wrappers target replica 0 only, so in a larger pool the
     # pool's defences (failover, hedging, quarantine) are what the chaos
     # suite exercises rather than a uniformly-broken fleet.
@@ -377,9 +384,30 @@ def invalid_line_response(message: str) -> Dict[str, Any]:
         error={"code": "invalid_request", "message": message}).as_dict()
 
 
+def internal_error_response(message: str) -> Dict[str, Any]:
+    """The typed answer to a line whose handling raised."""
+    return {"status": "error",
+            "error": {"code": "internal", "message": message}}
+
+
 def _answer_op(payload: Dict[str, Any], service: ReplicaPool
                ) -> Tuple[Dict[str, Any], bool]:
-    """An op line's ``{"op": ...}`` payload → ``(response, is_shutdown)``."""
+    """An op line's ``{"op": ...}`` payload → ``(response, is_shutdown)``.
+
+    Never raises: an op that fails (say ``health`` on a stack whose
+    service has no probes) answers a typed ``internal`` error, so the
+    connection that sent it keeps serving.
+    """
+    try:
+        return _op_response(payload, service)
+    except Exception as exc:  # noqa: BLE001 — one op line, one answer
+        return internal_error_response(
+            f"op {payload['op']!r} failed: {type(exc).__name__}: {exc}"
+        ), False
+
+
+def _op_response(payload: Dict[str, Any], service: ReplicaPool
+                 ) -> Tuple[Dict[str, Any], bool]:
     op = payload["op"]
     if op == "health":
         return service.health(), False
@@ -648,9 +676,8 @@ class SocketServer:
                     responses, _shutdown = handle_request_lines(
                         lines, self.service, queued_ats=queued)
                 except Exception as exc:  # noqa: BLE001 — workers survive
-                    responses = [{"status": "error",
-                                  "error": {"code": "internal",
-                                            "message": str(exc)}}] * len(items)
+                    responses = ([internal_error_response(str(exc))]
+                                 * len(items))
                 # One write per connection per batch, in batch order:
                 # each connection's writer is its group key.
                 groups: Dict[Callable[..., None], List[Dict[str, Any]]] = {}

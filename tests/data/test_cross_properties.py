@@ -6,6 +6,8 @@ Invariants, driven by hypothesis over random schemas and id matrices:
 * combinations unseen at fit time or filtered by ``min_count`` fold to
   ``OOV_ID``;
 * ``fit_transform(x)`` equals ``fit(x).transform(x)``;
+* a :class:`CrossSketch` fed any chunking of ``x`` keeps exactly the
+  ``np.unique`` + threshold keys of the whole matrix;
 * hashed buckets are stable across calls and instances.
 
 Plus regression tests for two fixed bugs: ``HashedCrossTransform.fit``
@@ -21,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import CrossProductTransform, HashedCrossTransform, make_schema
+from repro.data import (CrossProductTransform, CrossSketch,
+                        HashedCrossTransform, make_schema)
 from repro.data.cross import OOV_ID
 
 
@@ -87,6 +90,35 @@ class TestCrossProductProperties:
         out = cross.fit_transform(x)
         assert np.all(out == OOV_ID)
         assert cross.cardinalities == [1] * len(cross.pairs)
+
+
+    @given(id_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_sketch_equals_one_shot_unique(self, data, draw):
+        cards, x = data
+        n = x.shape[0]
+        if draw.draw(st.booleans(), label="one-row chunks"):
+            cuts = list(range(1, n))
+        else:
+            cuts = sorted(draw.draw(st.sets(st.integers(1, max(n - 1, 1)),
+                                            max_size=n), label="cuts"))
+        # n + 1 keeps no key at all: every pair takes the OOV-only path.
+        min_count = draw.draw(st.integers(1, 3) | st.just(n + 1),
+                              label="min_count")
+        schema = make_schema(cards)
+        sketch = CrossSketch(schema.pairs(), cards)
+        for chunk in np.split(x, [c for c in cuts if c < n]):
+            sketch.update(chunk)
+        out = sketch.finalize(schema, min_count=min_count).transform(x)
+        for p, ((i, j), kept) in enumerate(zip(schema.pairs(),
+                                               sketch.kept_keys(min_count))):
+            keys = x[:, i] * cards[j] + x[:, j]
+            unique, counts = np.unique(keys, return_counts=True)
+            expected = unique[counts >= min_count]
+            np.testing.assert_array_equal(kept, expected)
+            ids = {int(key): pos + 1 for pos, key in enumerate(expected)}
+            np.testing.assert_array_equal(
+                out[:, p], [ids.get(int(key), OOV_ID) for key in keys])
 
 
 class TestHashedCrossProperties:

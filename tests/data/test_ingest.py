@@ -20,7 +20,8 @@ from repro.data import (
 )
 from repro.obs.events import EventBus, MemorySink
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience import FlakyFile, truncate_file
+from repro.resilience import (CrashAtChunk, FlakyFile, InjectedCrash,
+                              truncate_file)
 
 
 def write_log(path, rows, header="label,I1,C1"):
@@ -345,6 +346,22 @@ class TestResumeSafety:
         assert again.report.resumed
         assert np.array_equal(first.dataset.x, again.dataset.x)
         assert np.array_equal(first.dataset.y, again.dataset.y)
+
+
+    def test_slash_in_a_continuous_name_resumes(self, tmp_path):
+        path = write_log(tmp_path / "log.csv", CLEAN_ROWS,
+                         header="label,I/1,C1")
+        config = dict(categorical=["C1"], continuous=["I/1"], chunk_rows=4,
+                      workdir=tmp_path / "wd")
+        with pytest.raises(InjectedCrash):
+            ChunkedIngestor(path, IngestConfig(**config),
+                            on_chunk=CrashAtChunk(at_chunk=1,
+                                                  stage="fit")).run()
+        resumed = ingest_file(path, IngestConfig(resume=True, **config))
+        fresh = ingest_file(path, IngestConfig(
+            categorical=["C1"], continuous=["I/1"], chunk_rows=4))
+        assert resumed.report.chunks_resumed > 0
+        assert np.array_equal(resumed.dataset.x, fresh.dataset.x)
 
 
 class TestPipelineReuse:

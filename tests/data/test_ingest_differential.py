@@ -1,16 +1,25 @@
-"""Acceptance tests: streamed chunked fit ≡ in-memory fit, bit for bit.
+"""Acceptance tests: streamed chunked fit ≡ in-memory fit ≡ the formulas.
 
-The contract (ISSUE / docs/data_guide.md): for any chunk size, with or
-without a mid-run kill and resume, the streaming ingest produces the
+The contract (docs/data_guide.md): for any chunk size, with or without
+a mid-run kill and resume, the streaming ingest produces the
 *identical* fitted pipeline (vocabulary id maps, median fill values,
 quantile bucket edges) and the *identical* encoded dataset (x, y,
 x_cross, cardinalities, schema) as ``read_csv`` + an in-memory
 ``CTRPipeline.fit_transform``.  And under k injected corrupt rows, the
 quarantine sidecar, the ``ingest.quarantined`` counter and the report
 all account for exactly k — no more, no less.
+
+Both fits run through the same sketches (the in-memory fit is the
+one-chunk case), so agreeing with each other proves no formula right.
+:func:`formula_fit` is a reference written here from the formulas
+alone — vocabulary order, median fill, quantile edges, positive ratio
+and ``np.unique`` kept cross keys — and every case checks the
+in-memory fit against it (in :func:`in_memory_reference`) and the
+streamed fit against both (in :func:`assert_bit_identical`).
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -50,14 +59,84 @@ def write_file(path, rows):
     return path
 
 
+def formula_fit(columns):
+    """The fit, from the formulas alone: no repro fitting code."""
+    min_count, buckets = PIPELINE_KW["min_count"], PIPELINE_KW["num_buckets"]
+
+    def vocabulary(values):
+        counts = Counter(values)
+        kept = sorted((v for v, c in counts.items() if c >= min_count),
+                      key=lambda v: (-counts[v], repr(v)))
+        return {value: i + 1 for i, value in enumerate(kept)}
+
+    ref = {"fills": {}, "edges": {}, "vocabularies": {}, "x": []}
+    for name in CONTINUOUS:
+        raw = [None if v.strip() == "" else float(v) for v in columns[name]]
+        present = [v for v in raw if v is not None]
+        fill = float(np.median(present)) if present else 0.0
+        values = np.array([fill if v is None else v for v in raw])
+        edges = np.quantile(values, np.linspace(0, 1, buckets + 1)[1:-1])
+        codes = [int(np.searchsorted(edges, v, side="right"))
+                 for v in values]
+        ref["fills"][name], ref["edges"][name] = fill, edges
+        ref["vocabularies"][name] = vocabulary(codes)
+        ref["x"].append([ref["vocabularies"][name].get(c, 0)
+                         for c in codes])
+    for name in CATEGORICAL:
+        ref["vocabularies"][name] = vocabulary(list(columns[name]))
+        ref["x"].append([ref["vocabularies"][name].get(v, 0)
+                         for v in columns[name]])
+    x = np.array(ref["x"], dtype=np.int64).T
+    ref["x"] = x
+    ref["y"] = np.array([float(v) for v in columns["label"]])
+    ref["positive_ratio"] = float(np.clip(ref["y"].mean(), 1e-6, 1 - 1e-6))
+    ref["cardinalities"] = [len(ref["vocabularies"][name]) + 1
+                            for name in CONTINUOUS + CATEGORICAL]
+    ref["kept_keys"], x_cross = [], []
+    fields = range(x.shape[1])
+    for i, j in [(i, j) for i in fields for j in fields if i < j]:
+        keys = x[:, i] * ref["cardinalities"][j] + x[:, j]
+        unique, counts = np.unique(keys, return_counts=True)
+        kept = unique[counts >= PIPELINE_KW["cross_min_count"]]
+        ids = {int(key): pos + 1 for pos, key in enumerate(kept)}
+        ref["kept_keys"].append(kept)
+        x_cross.append([ids.get(int(key), 0) for key in keys])
+    ref["x_cross"] = np.array(x_cross, dtype=np.int64).T
+    ref["cross_cardinalities"] = [k.size + 1 for k in ref["kept_keys"]]
+    return ref
+
+
+def assert_matches_formula(pipeline, dataset, ref):
+    for key in ("x", "y", "x_cross"):
+        assert np.array_equal(getattr(dataset, key), ref[key]), key
+    assert dataset.cardinalities == ref["cardinalities"]
+    assert dataset.cross_cardinalities == ref["cross_cardinalities"]
+    assert dataset.schema.positive_ratio == ref["positive_ratio"]
+    for name in CONTINUOUS:
+        assert pipeline.fill_values[name] == ref["fills"][name]
+        assert np.array_equal(pipeline._bucketizers[name]._edges,
+                              ref["edges"][name])
+    for name in CONTINUOUS + CATEGORICAL:
+        assert (pipeline._vocabularies[name]._value_to_id
+                == ref["vocabularies"][name]), name
+    for mine, theirs in zip(pipeline._cross._kept_keys, ref["kept_keys"]):
+        assert np.array_equal(mine, theirs)
+
+
 def in_memory_reference(path):
+    """The in-memory fit, checked against the formulas; the returned
+    pipeline carries the formula fit along as ``formula``."""
+    columns = read_csv(path)
     pipeline = CTRPipeline(**PIPELINE_KW)
-    dataset = pipeline.fit_transform(read_csv(path))
+    dataset = pipeline.fit_transform(columns)
+    pipeline.formula = formula_fit(columns)
+    assert_matches_formula(pipeline, dataset, pipeline.formula)
     return pipeline, dataset
 
 
 def assert_bit_identical(result, ref_pipeline, ref_dataset):
     dataset = result.dataset
+    assert_matches_formula(result.pipeline, dataset, ref_pipeline.formula)
     assert np.array_equal(dataset.x, ref_dataset.x)
     assert np.array_equal(dataset.y, ref_dataset.y)
     assert np.array_equal(dataset.x_cross, ref_dataset.x_cross)

@@ -232,6 +232,14 @@ class TestCTRPipeline:
         with pytest.raises(ValueError):
             CTRPipeline(categorical=["site"]).fit_transform(columns)
 
+    @pytest.mark.parametrize("labels", [["0", "2", "1", "0"],
+                                        ["0", "0.5", "1", "1"]])
+    def test_fit_rejects_non_binary_labels(self, labels):
+        columns = {"label": np.array(labels, dtype=object),
+                   "site": np.array(["a", "b", "a", "b"], dtype=object)}
+        with pytest.raises(ValueError, match="label column must be binary"):
+            CTRPipeline(categorical=["site"]).fit(columns)
+
 
 class TestOOVFoldRule:
     """The documented offline rule (shared with the serving validator):

@@ -93,57 +93,37 @@ class TestFieldVocabularies:
 
 
 class TestStreamingVocabulary:
+    """The streamed vocabulary: ``CategoricalSketch`` counts chunks and
+    ``Vocabulary.from_counts`` freezes them."""
+
     def test_matches_one_shot_fit(self):
-        from repro.data import StreamingVocabulary
+        from repro.data import CategoricalSketch
 
         values = ["a", "b", "a", "c", "b", "a", "d"]
-        streaming = StreamingVocabulary(min_count=2)
-        streaming.update(values[:3])
-        streaming.update(values[3:])
-        from_stream = streaming.finalize()
+        sketch = CategoricalSketch()
+        sketch.update(values[:3])
+        sketch.update(values[3:])
+        from_stream = sketch.finalize(min_count=2)
         one_shot = Vocabulary(min_count=2).fit(values)
         for v in "abcd":
             assert from_stream.lookup(v) == one_shot.lookup(v), v
 
     def test_counts_accumulate_across_chunks(self):
-        from repro.data import StreamingVocabulary
+        from repro.data import CategoricalSketch
 
-        streaming = StreamingVocabulary(min_count=3)
-        streaming.update(["x"])
-        streaming.update(["x"])
-        streaming.update(["x", "y"])
-        vocab = streaming.finalize()
+        sketch = CategoricalSketch()
+        sketch.update(["x"])
+        sketch.update(["x"])
+        sketch.update(["x", "y"])
+        vocab = sketch.finalize(min_count=3)
         assert vocab.lookup("x") != OOV_ID  # 3 occurrences across chunks
         assert vocab.lookup("y") == OOV_ID
 
-    def test_update_after_finalize_rejected(self):
-        from repro.data import StreamingVocabulary
-
-        streaming = StreamingVocabulary()
-        streaming.update(["a"])
-        streaming.finalize()
-        with pytest.raises(RuntimeError):
-            streaming.update(["b"])
-
-    def test_finalize_idempotent(self):
-        from repro.data import StreamingVocabulary
-
-        streaming = StreamingVocabulary()
-        streaming.update(["a"])
-        assert streaming.finalize() is streaming.finalize()
-
-    def test_seen_values(self):
-        from repro.data import StreamingVocabulary
-
-        streaming = StreamingVocabulary()
-        streaming.update(["a", "b", "a"])
-        assert streaming.seen_values == 2
-
     def test_invalid_min_count(self):
-        from repro.data import StreamingVocabulary
+        from repro.data import CategoricalSketch
 
         with pytest.raises(ValueError):
-            StreamingVocabulary(min_count=0)
+            CategoricalSketch().update(["a"]).finalize(min_count=0)
 
 
 class TestOOVEdgeCases:

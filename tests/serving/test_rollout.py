@@ -385,3 +385,46 @@ class TestSingleInstanceHonoursManifest:
         assert stack.service.model_version == "epoch-00000001"
         stack.poll_inline()
         assert stack.service.model_version == "epoch-00000001"
+
+
+class TestBootBuildsEachModelOnce:
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_one_model_per_replica_and_one_checkpoint_pick(
+            self, tmp_path, monkeypatch, replicas):
+        """Replica 0 serves the boot model and every boot replica takes
+        the boot pick's weights: no spare model, no second read."""
+        from repro.experiments import runner
+        from repro.serving import server
+
+        ckpt_dir = tmp_path / "ckpts"
+        source = server.build_serving_stack("LR", "criteo", "quick",
+                                            samples=2000)
+        CheckpointSwapper(CheckpointManager(ckpt_dir)).write_valid(
+            source.service.replicas[0].service.model)
+
+        calls = {"models": 0, "picks": 0}
+        build = runner._build_plain_model
+        pick = server.select_initial_checkpoint
+
+        def counting_build(*args, **kwargs):
+            calls["models"] += 1
+            return build(*args, **kwargs)
+
+        def counting_pick(*args, **kwargs):
+            calls["picks"] += 1
+            return pick(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_build_plain_model", counting_build)
+        monkeypatch.setattr(server, "select_initial_checkpoint", counting_pick)
+        stack = server.build_serving_stack("LR", "criteo", "quick",
+                                           samples=2000,
+                                           checkpoint_dir=ckpt_dir,
+                                           replicas=replicas)
+        assert calls == {"models": replicas, "picks": 1}
+        served = [replica.service for replica in stack.service.replicas]
+        assert [s.model_version for s in served] == \
+            ["epoch-00000001"] * replicas
+        first = served[0].model.state_dict()
+        for other in served[1:]:
+            state = other.model.state_dict()
+            assert all(np.array_equal(first[k], state[k]) for k in first)

@@ -4,8 +4,9 @@ In-process :class:`SocketServer` and stdio tests for how replies leave
 the process: every accepted connection has ``TCP_NODELAY`` set, one
 batch's replies to one connection go out in a single ``sendall``, many
 pipelining connections each get exactly their own whole reply lines,
-and a line that is not UTF-8 is answered ``invalid_request`` without
-costing the connection or its neighbouring lines.  No assertion here
+and a line that is not UTF-8 (or an op line that raises) is answered
+with a typed error without costing the connection or its neighbouring
+lines.  No assertion here
 depends on wall-clock time; timeouts only guard against hangs.
 """
 
@@ -182,6 +183,27 @@ class TestUndecodableLine:
         finally:
             server.shutdown(drain_s=5.0)
         assert server.drain_dropped == 0
+
+
+class TestFailingOp:
+    def test_failing_op_is_answered_and_the_connection_lives(
+            self, make_service):
+        # A bare PredictionService has no probes, so ``health`` raises
+        # inside the op handler: the line gets a typed ``internal``
+        # error and the scoring line behind it is still answered.
+        server, host, port = make_server(make_service)
+        try:
+            with socket.create_connection((host, port), timeout=10.0) as conn:
+                conn.sendall(json.dumps({"op": "health"}).encode() + b"\n"
+                             + request_line("after"))
+                failed, reply = read_replies(conn, 2)
+            assert failed["status"] == "error"
+            assert failed["error"]["code"] == "internal"
+            assert "health" in failed["error"]["message"]
+            assert reply["request_id"] == "after"
+            assert reply["status"] == "ok"
+        finally:
+            server.shutdown(drain_s=5.0)
 
 
 class CountingText(io.StringIO):
