@@ -13,6 +13,14 @@ Two implementations are provided:
   sizes it reports.
 * :class:`HashedCrossTransform` — the hashing-trick variant for memory-
   constrained deployments (an extension; collisions trade memory for AUC).
+
+The exact vocabulary is one lookup for all pairs.  Pair ``p``'s keys are
+offset by ``base[p]``, the sum of ``card_i * card_j`` over the pairs
+before it, so every pair owns a disjoint key range.  Fitting concatenates
+the kept keys of all pairs into one sorted array; a transform computes the
+pair-major ``[P, n]`` keys and makes one ``np.searchsorted`` over it.  A
+hit can only land in its own pair's segment, and the id is the position
+within that segment plus one.
 """
 
 from __future__ import annotations
@@ -25,10 +33,52 @@ from .schema import Schema
 
 OOV_ID = 0
 
+#: Rows per lookup block: bounds the ``[P, block]`` int64 temporaries
+#: while a whole dataset is transformed.
+_BLOCK_ROWS = 1024
+
+#: Ends the concatenated vocabulary, so every ``searchsorted`` position
+#: indexes it; no key reaches it, since every key is below the offset
+#: total, which is below ``2**63``.
+_SENTINEL = np.iinfo(np.int64).max
+
 
 def _pair_keys(x: np.ndarray, i: int, j: int, card_j: int) -> np.ndarray:
     """Encode value pairs as single integers: key = x_i * card_j + x_j."""
     return x[:, i].astype(np.int64) * np.int64(card_j) + x[:, j].astype(np.int64)
+
+
+class PairKeys:
+    """Pair-major ``[P, n]`` keys ``x_i * card_j + x_j + base[p]``: pair
+    ``p`` owns the range ``[base[p], base[p] + card_i * card_j)``."""
+
+    def __init__(self, pairs: Sequence[Tuple[int, int]],
+                 field_cards: Sequence[int]) -> None:
+        bases, total = [], 0
+        for i, j in pairs:
+            bases.append(total)
+            total += int(field_cards[i]) * int(field_cards[j])
+        if total >= 2 ** 63:
+            raise ValueError(f"cross keys need {total} values over all "
+                             f"pairs, more than int64 holds")
+        self.bases = np.array(bases, dtype=np.int64)
+        self._left, self._right = np.array(
+            pairs, dtype=np.intp).reshape(-1, 2).T
+        self._right_cards = np.array(
+            field_cards, dtype=np.int64)[self._right, None]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        columns = x.T.astype(np.int64, order="C")
+        keys = columns[self._left]
+        keys *= self._right_cards
+        keys += columns[self._right]
+        keys += self.bases[:, None]
+        return keys
+
+    def split(self, keys: np.ndarray) -> List[np.ndarray]:
+        """Per pair, its segment of the sorted ``keys`` without ``base``."""
+        segments = np.split(keys, np.searchsorted(keys, self.bases[1:]))
+        return [segment - base for segment, base in zip(segments, self.bases)]
 
 
 class CrossProductTransform:
@@ -40,7 +90,6 @@ class CrossProductTransform:
         self.schema = schema
         self.min_count = min_count
         self.pairs: List[Tuple[int, int]] = schema.pairs()
-        self._kept_keys: List[np.ndarray] = []
         self._field_cards: Optional[List[int]] = None
         self._fitted = False
 
@@ -68,14 +117,22 @@ class CrossProductTransform:
         return self.fit_sketch(sketch)
 
     def fit_sketch(self, sketch) -> "CrossProductTransform":
-        """Freeze the per-pair vocabularies counted by a
-        :class:`~repro.data.sketches.CrossSketch` — one chunk or many."""
+        """Freeze the vocabularies counted by a
+        :class:`~repro.data.sketches.CrossSketch` — one chunk or many —
+        into one sorted array of offset keys."""
         if sketch.pairs != self.pairs:
             raise ValueError("schema pair layout does not match the sketch")
         self._field_cards = list(sketch.field_cards)
-        self._kept_keys = sketch.kept_keys(self.min_count)
+        self._pair_keys = sketch.pair_keys
+        self._keys = np.append(sketch.kept(self.min_count), _SENTINEL)
+        self._starts = np.searchsorted(self._keys, self._pair_keys.bases)
         self._fitted = True
         return self
+
+    @property
+    def _kept_keys(self) -> List[np.ndarray]:
+        """Per pair, its sorted kept keys ``x_i * card_j + x_j``."""
+        return self._pair_keys.split(self._keys[:-1])
 
     def transform(self, x: np.ndarray, *,
                   assume_valid: bool = False) -> np.ndarray:
@@ -105,16 +162,12 @@ class CrossProductTransform:
                         f"got min={column.min()}, max={column.max()}"
                     )
         out = np.empty((x.shape[0], len(self.pairs)), dtype=np.int64)
-        for pair_idx, (i, j) in enumerate(self.pairs):
-            kept = self._kept_keys[pair_idx]
-            keys = _pair_keys(x, i, j, self._field_cards[j])
-            if kept.size == 0:
-                out[:, pair_idx] = OOV_ID
-                continue
-            pos = np.searchsorted(kept, keys)
-            pos_clipped = np.minimum(pos, kept.size - 1)
-            found = kept[pos_clipped] == keys
-            out[:, pair_idx] = np.where(found, pos_clipped + 1, OOV_ID)
+        for start in range(0, x.shape[0], _BLOCK_ROWS):
+            keys = self._pair_keys(x[start:start + _BLOCK_ROWS])
+            pos = np.searchsorted(self._keys, keys)
+            ids = np.where(self._keys[pos] == keys,
+                           pos - self._starts[:, None] + 1, OOV_ID)
+            out[start:start + _BLOCK_ROWS] = ids.T
         return out
 
     def fit_transform(self, x: np.ndarray,
@@ -126,7 +179,8 @@ class CrossProductTransform:
         """Cross vocabulary size per pair (incl. the OOV slot)."""
         if not self._fitted:
             raise RuntimeError("cardinalities requested before fit")
-        return [kept.size + 1 for kept in self._kept_keys]
+        sizes = np.diff(self._starts, append=self._keys.size - 1)
+        return [int(size) + 1 for size in sizes]
 
     @property
     def total_cross_values(self) -> int:

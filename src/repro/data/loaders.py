@@ -143,18 +143,15 @@ def _parse_floats(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return out, missing
 
 
-def _to_float(values: np.ndarray) -> np.ndarray:
-    """Parse a column, imputing missing entries with the median of the
-    present ones (0.0 when every entry is missing)."""
-    out, missing = _parse_floats(values)
-    if missing.any():
-        out[missing] = 0.0 if missing.all() else np.median(out[~missing])
-    return out
-
-
 def _binary_labels(values: np.ndarray) -> np.ndarray:
-    """Parse a label column; anything but 0/1 raises ``ValueError``."""
-    y = _to_float(values)
+    """Parse a label column.  A missing label (as
+    :func:`_parse_floats` defines it) or anything but 0/1 raises
+    ``ValueError``: a label is never imputed, and ingest rejects such a
+    row too."""
+    y, missing = _parse_floats(values)
+    if missing.any():
+        raise ValueError(f"label column has {int(missing.sum())} missing "
+                         f"label(s); labels are never imputed")
     if not set(np.unique(y)).issubset({0.0, 1.0}):
         raise ValueError("label column must be binary 0/1")
     return y

@@ -21,8 +21,8 @@ the one-chunk case of the streamed ingest fit:
   labels, ``np.mean`` pairwise-sums exactly representable integers, so
   ``positives / total`` in float64 is the identical value.
 * :class:`CrossSketch` — per-pair ``np.unique`` key runs over encoded
-  id chunks; finalises into a fitted
-  :class:`~repro.data.cross.CrossProductTransform` whose kept-key arrays
+  id chunks, compacted as they grow; finalises into a fitted
+  :class:`~repro.data.cross.CrossProductTransform` whose kept keys
   equal ``np.unique`` + threshold on the concatenated stream.
 
 Every sketch exposes ``update`` (one chunk); the field and label sketches
@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .cross import CrossProductTransform, _pair_keys
+from .cross import CrossProductTransform, PairKeys, _pair_keys
 from .preprocessing import QuantileBucketizer
 from .schema import Schema
 from .vocabulary import Vocabulary
@@ -173,14 +173,17 @@ class CrossSketch:
     """Per-pair cross-key counts over encoded id chunks.
 
     ``update`` appends each pair's ``np.unique(keys, return_counts=True)``
-    run; :meth:`kept_keys` merges the runs once, so a one-chunk sketch
-    costs one ``np.unique`` per pair.
+    run.  A pair's first run is its merged run; its later runs fold into
+    it whenever they outgrow it, so the sketch holds fewer than twice the
+    distinct keys plus one chunk, the merges cost linear work in total,
+    and a one-chunk sketch merges nothing.
     """
 
     def __init__(self, pairs: Sequence[Tuple[int, int]],
                  field_cards: Sequence[int]) -> None:
         self.pairs = list(pairs)
         self.field_cards = list(field_cards)
+        self.pair_keys = PairKeys(self.pairs, self.field_cards)
         self._runs: List[List[Tuple[np.ndarray, np.ndarray]]] = [
             [] for _ in self.pairs]
 
@@ -189,28 +192,38 @@ class CrossSketch:
         for runs, (i, j) in zip(self._runs, self.pairs):
             keys = _pair_keys(x, i, j, self.field_cards[j])
             runs.append(np.unique(keys, return_counts=True))
+            if sum(k.size for k, _ in runs[1:]) > runs[0][0].size:
+                runs[:] = [_merge(runs)]
         return self
+
+    def kept(self, min_count: int = 1) -> np.ndarray:
+        """Every pair's sorted keys counted at least ``min_count`` times,
+        offset by the pair's base into one sorted array."""
+        kept = [np.empty(0, dtype=np.int64)]
+        for runs, base in zip(self._runs, self.pair_keys.bases):
+            if runs:
+                keys, counts = _merge(runs) if len(runs) > 1 else runs[0]
+                kept.append(keys[counts >= min_count] + base)
+        return np.concatenate(kept)
 
     def kept_keys(self, min_count: int = 1) -> List[np.ndarray]:
         """Per pair, the sorted keys counted at least ``min_count`` times."""
-        kept = []
-        for runs in self._runs:
-            if len(runs) == 1:
-                keys, counts = runs[0]
-            else:
-                empty = [np.empty(0, dtype=np.int64)]
-                keys, inverse = np.unique(
-                    np.concatenate(empty + [k for k, _ in runs]),
-                    return_inverse=True)
-                # float64 sums of integer counts are exact below 2**53
-                counts = np.bincount(
-                    inverse, minlength=keys.size,
-                    weights=np.concatenate(empty + [c for _, c in runs]))
-            kept.append(keys[counts >= min_count])
-        return kept
+        return self.pair_keys.split(self.kept(min_count))
 
     def finalize(self, schema: Schema,
                  min_count: int = 1) -> CrossProductTransform:
         """A fitted transform equal to ``fit`` on the concatenated ids."""
         return CrossProductTransform(schema,
                                      min_count=min_count).fit_sketch(self)
+
+
+def _merge(runs: List[Tuple[np.ndarray, np.ndarray]]
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted ``(keys, counts)`` runs as one.  A stable sort merges the
+    concatenated sorted runs in close to linear time."""
+    keys = np.concatenate([k for k, _ in runs])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    counts = np.concatenate([c for _, c in runs])[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+    return keys[first], np.add.reduceat(counts, first)

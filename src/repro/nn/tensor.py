@@ -59,8 +59,10 @@ class rowwise_matmul:
     Under this context every ``[n, k] @ [k, m]`` product with ``n > 1``
     is computed as ``n`` independent ``[1, k] @ [k, m]`` calls — exactly
     the call a batch-of-one makes — so batched inference is bit-for-bit
-    equal to scoring each row alone.  Stacked (3-D+) matmuls already
-    compute each leading-axis slice independently and are left alone.
+    equal to scoring each row alone.  It is one BLAS call per row, looped
+    in C: the rows go to numpy's matmul as a stack of ``[1, k]``
+    matrices.  Stacked (3-D+) matmuls already compute each leading-axis
+    slice independently and are left alone.
 
     The flag is thread-local: a serving worker scoring a coalesced batch
     does not perturb training running in another thread.  Intended for
@@ -83,11 +85,13 @@ def is_rowwise_matmul() -> bool:
 
 
 def _rowwise_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` with each row of ``a`` multiplied in its own BLAS call."""
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for i in range(a.shape[0]):
-        out[i] = (a[i:i + 1] @ b)[0]
-    return out
+    """``a @ b`` with each row of ``a`` multiplied in its own BLAS call.
+
+    The rows are stacked as ``[n, 1, k]`` matrices, so numpy's matmul
+    gufunc loops over them in C and makes for each the ``[1, k] @ [k, m]``
+    call a batch of one makes.
+    """
+    return np.matmul(a[:, None, :], b)[:, 0, :]
 
 
 def _as_array(value: ArrayLike, dtype=np.float64) -> np.ndarray:

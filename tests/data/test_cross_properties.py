@@ -8,7 +8,11 @@ Invariants, driven by hypothesis over random schemas and id matrices:
 * ``fit_transform(x)`` equals ``fit(x).transform(x)``;
 * a :class:`CrossSketch` fed any chunking of ``x`` keeps exactly the
   ``np.unique`` + threshold keys of the whole matrix;
-* hashed buckets are stable across calls and instances.
+* hashed buckets are stable across calls and instances;
+* every cross id equals the Eq. 4 formula (1 + the key's rank among its
+  pair's sorted kept keys, ``OOV_ID`` when absent), computed here from
+  plain Python counts, at row counts around the lookup's block size;
+* a sketch holds fewer than twice the distinct keys plus one chunk.
 
 Plus regression tests for two fixed bugs: ``HashedCrossTransform.fit``
 accepted any input shape, and ``CrossProductTransform.transform``
@@ -17,6 +21,8 @@ cardinality.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -119,6 +125,90 @@ class TestCrossProductProperties:
             ids = {int(key): pos + 1 for pos, key in enumerate(expected)}
             np.testing.assert_array_equal(
                 out[:, p], [ids.get(int(key), OOV_ID) for key in keys])
+
+
+def formula_ids(x_fit, x, cards, pairs, min_count):
+    """Cross ids from the definition: per pair, 1 + the rank of the key
+    ``x_i * card_j + x_j`` among the sorted keys counted ``min_count``
+    times in ``x_fit``, and ``OOV_ID`` for any other key."""
+    out = np.full((len(x), len(pairs)), OOV_ID, dtype=np.int64)
+    for p, (i, j) in enumerate(pairs):
+        counts = Counter(int(a) * cards[j] + int(b)
+                         for a, b in zip(x_fit[:, i], x_fit[:, j]))
+        kept = sorted(key for key, count in counts.items()
+                      if count >= min_count)
+        rank = {key: r + 1 for r, key in enumerate(kept)}
+        for row, (a, b) in enumerate(zip(x[:, i], x[:, j])):
+            out[row, p] = rank.get(int(a) * cards[j] + int(b), OOV_ID)
+    return out
+
+
+class TestCrossIdsAgainstFormula:
+    """The one-lookup transform against the per-pair definition."""
+
+    @given(st.lists(st.integers(1, 40), min_size=2, max_size=5),
+           st.sampled_from([0, 1, 1023, 1024, 1025, 2 * 1024 + 1]),
+           st.sampled_from([1, 2, 5, 60, "all"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_ids_equal_rank_among_kept_keys(self, cards, n, min_count, seed):
+        rng = np.random.default_rng(seed)
+        # Small fields repeat their pair keys, large ones rarely do, so a
+        # middling min_count keeps some pairs and empties others.
+        x_fit, x = (np.stack([rng.integers(0, card, n) for card in cards],
+                             axis=1).reshape(n, len(cards))
+                    for _ in range(2))
+        if min_count == "all":  # every pair's vocabulary is empty
+            min_count = n + 1
+        schema = make_schema(cards)
+        cross = CrossProductTransform(schema, min_count=min_count).fit(x_fit)
+        for probe in (x_fit, x):
+            expected = formula_ids(x_fit, probe, cards, schema.pairs(),
+                                   min_count)
+            np.testing.assert_array_equal(cross.transform(probe), expected)
+        kept_sizes = [len(kept) + 1 for kept in cross._kept_keys]
+        assert cross.cardinalities == kept_sizes
+
+    def test_key_offsets_beyond_int64_rejected(self):
+        # Huge cardinalities with tiny ids: the pair offsets sum to 2**63,
+        # while nothing of that size is ever allocated.
+        cards = [2 ** 31, 2 ** 32]
+        x = np.zeros((2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="int64"):
+            CrossSketch(make_schema(cards).pairs(), cards)
+        with pytest.raises(ValueError, match="int64"):
+            CrossProductTransform(make_schema(cards)).fit(x)
+
+    def test_key_offsets_just_below_int64_accepted(self):
+        cards = [2 ** 31, 2 ** 32 - 1]  # one pair: 2**63 - 2**31 keys
+        x = np.array([[0, 0], [cards[0] - 1, cards[1] - 1]], dtype=np.int64)
+        cross = CrossProductTransform(make_schema(cards)).fit(x)
+        np.testing.assert_array_equal(cross.transform(x), [[1], [2]])
+        np.testing.assert_array_equal(
+            cross.transform(np.array([[0, 1]])), [[OOV_ID]])
+
+
+class TestCrossSketchMemory:
+    def test_held_entries_bounded_by_distinct_keys(self):
+        # Small fields make every chunk repeat keys already counted; a
+        # sketch that kept each chunk's run would hold ~50 runs.
+        cards = [3, 4, 5, 6]
+        schema = make_schema(cards)
+        pairs = schema.pairs()
+        rng = np.random.default_rng(7)
+        sketch = CrossSketch(pairs, cards)
+        seen = set()
+        for _ in range(50):
+            chunk = np.stack([rng.integers(0, card, 40) for card in cards],
+                             axis=1)
+            sketch.update(chunk)
+            seen |= {(p, int(a) * cards[j] + int(b))
+                     for p, (i, j) in enumerate(pairs)
+                     for a, b in zip(chunk[:, i], chunk[:, j])}
+            held = sum(keys.size for runs in sketch._runs
+                       for keys, _ in runs)
+            assert held < 2 * len(seen) + chunk.shape[0] * len(pairs)
+        assert sketch.kept(1).size == len(seen)
 
 
 class TestHashedCrossProperties:

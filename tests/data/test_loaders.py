@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import IngestConfig, ingest_file
 from repro.data.errors import ArityError, IngestError, SchemaError
 from repro.data.loaders import (
     CRITEO_CATEGORICAL_COLUMNS,
@@ -239,6 +240,27 @@ class TestCTRPipeline:
                    "site": np.array(["a", "b", "a", "b"], dtype=object)}
         with pytest.raises(ValueError, match="label column must be binary"):
             CTRPipeline(categorical=["site"]).fit(columns)
+
+
+    def test_blank_label_rejected_as_ingest_rejects_it(self, tmp_path):
+        # Labels 1,'',1,0,1: ingest drops the blank-label row as a
+        # `label` error, so the in-memory path must not impute it.
+        path = tmp_path / "blank.csv"
+        path.write_text("label,site\n1,a\n,b\n1,a\n0,b\n1,a\n")
+        columns = read_csv(path)
+        with pytest.raises(ValueError, match="missing label"):
+            CTRPipeline(categorical=["site"]).fit(columns)
+        result = ingest_file(path, IngestConfig(categorical=["site"],
+                                                on_error="skip"))
+        assert len(result.dataset) == 4
+        assert result.report.errors == {"label": 1}
+
+    def test_transform_rejects_blank_label(self, csv_file):
+        pipeline = CTRPipeline(categorical=["site"]).fit(read_csv(csv_file))
+        columns = {"label": np.array(["1", None], dtype=object),
+                   "site": np.array(["siteA", "siteB"], dtype=object)}
+        with pytest.raises(ValueError, match="missing label"):
+            pipeline.transform(columns)
 
 
 class TestOOVFoldRule:
