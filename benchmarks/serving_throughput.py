@@ -70,23 +70,24 @@ def _run_pass(service: PredictionService, requests: List[Dict],
             "latencies_ms": latencies_ms}
 
 
-def _time_batch_size(requests: List[Dict], batch_size: int,
-                     trials: int) -> Dict:
-    """Best-of-``trials`` requests/s (fresh service per trial) + latency
-    percentiles from the median trial."""
-    passes = []
-    for _ in range(trials):
-        service = _build_service()
-        for features in requests[:32]:  # warm caches / validator paths
-            service.predict(features)
-        passes.append(_run_pass(service, requests, batch_size))
+def _timed_pass(requests: List[Dict], batch_size: int) -> Dict:
+    """One pass on a fresh, warmed service."""
+    service = _build_service()
+    for features in requests[:32]:  # warm caches / validator paths
+        service.predict(features)
+    return _run_pass(service, requests, batch_size)
+
+
+def _summarize(passes: List[Dict], batch_size: int, n_requests: int) -> Dict:
+    """Best-of-trials requests/s + latency percentiles from the median
+    trial."""
     elapsed = sorted(p["elapsed_s"] for p in passes)
     median_pass = min(passes, key=lambda p: abs(p["elapsed_s"]
                                                 - elapsed[len(elapsed) // 2]))
     latencies = np.asarray(median_pass["latencies_ms"])
     return {
         "batch_size": batch_size,
-        "requests_per_s": round(len(requests) / elapsed[0], 1),
+        "requests_per_s": round(n_requests / elapsed[0], 1),
         "p50_latency_ms": round(float(np.percentile(latencies, 50)), 4),
         "p99_latency_ms": round(float(np.percentile(latencies, 99)), 4),
     }
@@ -97,8 +98,15 @@ def run_benchmarks(quick: bool = False, trials: int = TRIALS) -> Dict:
     schema = make_schema(CARDINALITIES, positive_ratio=0.3)
     requests = list(valid_requests(schema, count=n_requests,
                                    rng=np.random.default_rng(1)))
-    results = {batch_size: _time_batch_size(requests, batch_size, trials)
-               for batch_size in BATCH_SIZES}
+    # Each trial times every batch size back to back, so a slow stretch
+    # of the machine slows all sizes of that trial instead of all trials
+    # of one size (which skews the speedup ratios).
+    passes: Dict[int, List[Dict]] = {bs: [] for bs in BATCH_SIZES}
+    for _ in range(trials):
+        for batch_size in BATCH_SIZES:
+            passes[batch_size].append(_timed_pass(requests, batch_size))
+    results = {bs: _summarize(passes[bs], bs, n_requests)
+               for bs in BATCH_SIZES}
     base_rps = results[1]["requests_per_s"]
     return {
         "requests": n_requests,

@@ -33,15 +33,13 @@ from ..models.base import (
     pair_index_arrays,
 )
 from ..nn.layers import MLP
-from ..nn.losses import binary_cross_entropy_with_logits
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor, concatenate
-from ..training.history import EpochRecord, History
-from ..training.trainer import (Trainer, evaluate_model, guarded_backward,
-                                mean_loss)
+from ..training.history import History
+from ..training.trainer import Trainer
 from .architecture import Architecture, Method
 from .combination import CombinationBlock
-from .search import SearchConfig, _annealed_temperature, table_iv_groups
+from .search import SearchConfig, SearchTrainer, table_iv_groups
 
 
 class HigherOrderOptInter(CTRModel):
@@ -281,26 +279,9 @@ def search_higher_order(train: CTRDataset, val: Optional[CTRDataset],
     optimizer = Adam(table_iv_groups(
         model, [model.pair_cross, model.triple_cross], config.lr,
         config.l2_cross, config.lr_arch))
-    history = History()
-    step = 0
-    for epoch in range(config.epochs):
-        model.set_temperature(_annealed_temperature(config, epoch))
-        model.train()
-        losses: List[float] = []
-        for batch in train.iter_batches(config.batch_size, shuffle=True,
-                                        rng=rng):
-            optimizer.zero_grad()
-            loss = binary_cross_entropy_with_logits(model(batch), batch.y)
-            losses.append(guarded_backward(loss, None, epoch=epoch,
-                                           step=step))
-            optimizer.step()
-            step += 1
-        record = EpochRecord(epoch=epoch, train_loss=mean_loss(losses))
-        if val is not None and len(val) > 0:
-            metrics = evaluate_model(model, val)
-            record.val_auc = metrics["auc"]
-            record.val_log_loss = metrics["log_loss"]
-        history.append(record)
+    # No bus and no guard: the search emits nothing and fails fast.
+    history = SearchTrainer(model, optimizer, config, model.set_temperature,
+                            rng=rng).fit(train, val)
     pair_arch, triple_arch = model.derive_architectures()
     return pair_arch, triple_arch, history, model
 

@@ -9,55 +9,31 @@ Three ways to obtain an architecture:
   training batches alternate with α steps on validation batches.  The paper
   finds this converges worse for CTR (and needs ~2x memory).
 * :func:`random_architecture` — the Random baseline of Table VIII.
+
+The first two run on :class:`~repro.training.trainer.Trainer`'s epoch
+loop, configured by :class:`SearchTrainer` and :class:`BilevelTrainer`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from ..data.dataset import CTRDataset
+from ..data.dataset import Batch, CTRDataset
 from ..fsutil import PathLike
 from ..nn.losses import binary_cross_entropy_with_logits
 from ..nn.module import Module
-from ..nn.optim import Adam
+from ..nn.optim import Adam, Optimizer
 from ..obs.events import EventBus
 from ..obs.tracing import Tracer
-from ..resilience.checkpoint import CheckpointManager, TrainingCheckpoint
 from ..resilience.recovery import DivergenceGuard, RecoveryPolicy
 from ..training.history import EpochRecord, History
-from ..training.trainer import (EventFanout, evaluate_model,
-                                guarded_backward, mean_loss, resume_latest,
-                                save_checkpoint)
+from ..training.trainer import Trainer, evaluate_model, guarded_backward
 from .architecture import Architecture
 from .optinter import OptInterModel
-
-
-def _emit_search_epoch(emit: EventFanout, model: OptInterModel,
-                       record: EpochRecord, temperature: float,
-                       stage: str) -> None:
-    """Publish the per-epoch α snapshot and epoch metrics.
-
-    The ``search_alpha`` payload carries the raw logits, the noiseless
-    selection probabilities and the argmax decode — enough to replay the
-    selection-probability trajectory (paper Table VI / Figure 5) from a
-    trace file alone, without the model.
-    """
-    if not emit.buses:
-        return
-    architecture = model.derive_architecture()
-    emit("search_alpha",
-         stage=stage,
-         epoch=record.epoch,
-         temperature=temperature,
-         alpha=model.combination.alpha.data,
-         probabilities=model.combination.probabilities(),
-         methods=[m.value for m in architecture],
-         counts=architecture.counts())
-    emit("epoch_end", stage=stage, **record.as_dict())
 
 
 @dataclass
@@ -83,6 +59,16 @@ class SearchConfig:
     temperature_end: float = 0.3
     seed: int = 0
     verbose: bool = False
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.temperature_start <= 0 or self.temperature_end <= 0:
+            raise ValueError(
+                "temperatures must be positive, got "
+                f"{self.temperature_start} -> {self.temperature_end}")
 
 
 @dataclass
@@ -150,6 +136,142 @@ def table_iv_groups(model: Module, cross_embeddings: Sequence,
     return groups
 
 
+class SearchTrainer(Trainer):
+    """A search stage as a :class:`Trainer` configuration (Alg. 1).
+
+    Every epoch first anneals the Gumbel-softmax temperature through
+    ``set_temperature`` (the ``search.epoch`` span carries it).  After
+    the validation pass a ``search.alpha_update`` span publishes the
+    ``search_alpha`` snapshot and the ``epoch_end`` event, both led by
+    ``stage``.  There is no early stopping and no best-state restore,
+    so checkpoints hold empty ``extras`` and no ``best_state``.  The run
+    is a ``search.run`` span without ``run_start``/``eval``/``run_end``
+    events, and resuming happens before it opens.
+    """
+
+    #: Leads the run span's attributes, the α snapshots and the strikes.
+    stage = "search"
+    #: The run span reports the applied step count as ``steps``.
+    report_steps = True
+
+    def __init__(self, model: Module, optimizer: Optimizer,
+                 config: SearchConfig,
+                 set_temperature: Callable[[float], None], **kwargs) -> None:
+        super().__init__(model, optimizer, batch_size=config.batch_size,
+                         max_epochs=config.epochs, **kwargs)
+        self.config = config
+        self.set_temperature = set_temperature
+        self.strike_labels = {"stage": self.stage}
+
+    def fit(self, train: CTRDataset,
+            val: Optional[CTRDataset] = None) -> History:
+        history, start_epoch = self._resume()
+        with self.tracer.span("search.run", stage=self.stage,
+                              epochs=self.max_epochs) as run_span:
+            self._fit(train, val, history, start_epoch, run_span)
+            if self.report_steps:
+                run_span.set_attr("steps", self._global_step)
+        return history
+
+    @contextmanager
+    def _epoch(self, run_span, epoch: int) -> Iterator[EpochRecord]:
+        temperature = _annealed_temperature(self.config, epoch)
+        self.set_temperature(temperature)
+        record = EpochRecord(epoch=epoch, train_loss=float("nan"))
+        with self.tracer.span("search.epoch", parent=run_span, epoch=epoch,
+                              temperature=temperature) as epoch_span:
+            yield record
+            # The α snapshot is the search's decision step — its own
+            # span so a trace shows where selection time goes.
+            with self.tracer.span("search.alpha_update", epoch=epoch):
+                self._publish_alpha(record, temperature)
+            epoch_span.set_attr("train_loss", record.train_loss)
+
+    def _publish_alpha(self, record: EpochRecord, temperature: float) -> None:
+        """Publish the per-epoch α snapshot and epoch metrics.
+
+        The ``search_alpha`` payload carries the raw logits, the
+        noiseless selection probabilities and the argmax decode — enough
+        to replay the selection-probability trajectory (paper Table VI /
+        Figure 5) from a trace file alone, without the model.
+        """
+        if not self._buses:
+            return
+        combination = self.model.combination
+        architecture = self.model.derive_architecture()
+        self._emit("search_alpha",
+                   stage=self.stage,
+                   epoch=record.epoch,
+                   temperature=temperature,
+                   alpha=combination.alpha.data,
+                   probabilities=combination.probabilities(),
+                   methods=[m.value for m in architecture],
+                   counts=architecture.counts())
+        self._emit("epoch_end", stage=self.stage, **record.as_dict())
+
+    def _validate(self, val: CTRDataset, record: EpochRecord) -> None:
+        metrics = evaluate_model(self.model, val)
+        record.val_auc = metrics["auc"]
+        record.val_log_loss = metrics["log_loss"]
+
+    def _checkpoint_extras(self) -> Dict:
+        return {}
+
+
+class BilevelTrainer(SearchTrainer):
+    """The bi-level ablation: each Θ step on a training batch is followed
+    by an α step, with its own optimizer, on the next batch of an endless
+    shuffled stream over ``val``.
+
+    One guard covers both levels and both optimizers.  A step counts even
+    when its Θ update was struck, and a rollback does not rewind the
+    count; the run span reports no ``steps``.
+    """
+
+    stage = "bilevel"
+    report_steps = False
+
+    def __init__(self, model: OptInterModel, theta_optimizer: Optimizer,
+                 alpha_optimizer: Optimizer, config: SearchConfig,
+                 val: CTRDataset, recovery: Optional[RecoveryPolicy] = None,
+                 **kwargs) -> None:
+        super().__init__(model, theta_optimizer, config,
+                         model.combination.set_temperature, **kwargs)
+        self.alpha_optimizer = alpha_optimizer
+        self._val_batches = self._endless(val)
+        if recovery is not None:
+            self._guard = DivergenceGuard(
+                recovery, model, [theta_optimizer, alpha_optimizer],
+                emit=self._emit)
+
+    def _endless(self, val: CTRDataset) -> Iterator[Batch]:
+        while True:
+            yield from val.iter_batches(self.batch_size, shuffle=True,
+                                        rng=self.rng)
+
+    def _step(self, batch: Batch, epoch: int) -> Optional[float]:
+        # Lower level: network weights on the training batch.
+        self.model.zero_grad()
+        loss = binary_cross_entropy_with_logits(self.model(batch), batch.y)
+        value = guarded_backward(loss, self._guard, epoch=epoch,
+                                 step=self._global_step, **self.strike_labels,
+                                 level="theta")
+        if value is not None:
+            self.optimizer.step()
+        # Upper level: architecture parameters on a validation batch.
+        val_batch = next(self._val_batches)
+        self.model.zero_grad()
+        val_loss = binary_cross_entropy_with_logits(self.model(val_batch),
+                                                    val_batch.y)
+        if guarded_backward(val_loss, self._guard, epoch=epoch,
+                            step=self._global_step, split="validation",
+                            **self.strike_labels,
+                            level="alpha") is not None:
+            self.alpha_optimizer.step()
+        self._global_step += 1
+        return value
+
+
 def search_optinter(train: CTRDataset, val: Optional[CTRDataset],
                     config: SearchConfig,
                     bus: Optional[EventBus] = None,
@@ -172,76 +294,18 @@ def search_optinter(train: CTRDataset, val: Optional[CTRDataset],
     batches and rolls back with the learning rate halved instead of
     propagating NaNs into α.
     """
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume=True requires checkpoint_dir")
     rng = np.random.default_rng(config.seed)
     model = _build_search_model(train, config, rng)
     optimizer = Adam(table_iv_groups(model, [model.cross_embedding],
                                      config.lr, config.l2_cross,
                                      config.lr_arch))
-    history = History()
-    emit = EventFanout(bus, config.verbose)
-    manager = (CheckpointManager(Path(checkpoint_dir), keep_last=keep_last)
-               if checkpoint_dir is not None else None)
-    step = 0
-    start_epoch = 0
-    if manager is not None and resume:
-        checkpoint = resume_latest(manager, model, optimizer, rng, emit)
-        if checkpoint is not None:
-            history = checkpoint.history
-            step = checkpoint.global_step
-            start_epoch = checkpoint.epoch + 1
-    guard = None
-    if recovery is not None:
-        def _rewind(extras):
-            nonlocal step
-            step = int(extras.get("step", step))
-        guard = DivergenceGuard(recovery, model, optimizer, emit=emit,
-                                on_rollback=_rewind)
-        guard.record_good(extras={"step": step})
-    tracer = emit.tracer(tracer)
-    with tracer.span("search.run", stage="search",
-                     epochs=config.epochs) as run_span:
-        for epoch in range(start_epoch, config.epochs):
-            temperature = _annealed_temperature(config, epoch)
-            model.combination.set_temperature(temperature)
-            model.train()
-            losses: List[float] = []
-            with tracer.span("search.epoch", epoch=epoch,
-                             temperature=temperature) as epoch_span:
-                for batch in train.iter_batches(config.batch_size,
-                                                shuffle=True, rng=rng):
-                    optimizer.zero_grad()
-                    loss = binary_cross_entropy_with_logits(model(batch),
-                                                            batch.y)
-                    value = guarded_backward(loss, guard, epoch=epoch,
-                                             step=step, stage="search")
-                    if value is None:
-                        continue
-                    optimizer.step()
-                    losses.append(value)
-                    step += 1
-                record = EpochRecord(epoch=epoch,
-                                     train_loss=mean_loss(losses))
-                if val is not None and len(val) > 0:
-                    metrics = evaluate_model(model, val)
-                    record.val_auc = metrics["auc"]
-                    record.val_log_loss = metrics["log_loss"]
-                history.append(record)
-                # The α snapshot is the search's decision step — its own
-                # span so a trace shows where selection time goes.
-                with tracer.span("search.alpha_update", epoch=epoch):
-                    _emit_search_epoch(emit, model, record, temperature,
-                                       stage="search")
-                epoch_span.set_attr("train_loss", record.train_loss)
-            if manager is not None:
-                save_checkpoint(manager, TrainingCheckpoint.capture(
-                    model, optimizer, epoch=epoch, global_step=step, rng=rng,
-                    history=history), emit)
-            if guard is not None:
-                guard.record_good(extras={"step": step})
-        run_span.set_attr("steps", step)
-    return SearchResult.of(model, history)
+    trainer = SearchTrainer(model, optimizer, config,
+                            model.combination.set_temperature, rng=rng,
+                            verbose=config.verbose, bus=bus,
+                            recovery=recovery, checkpoint_dir=checkpoint_dir,
+                            keep_last=keep_last, resume=resume,
+                            tracer=tracer)
+    return SearchResult.of(model, trainer.fit(train, val))
 
 
 def search_bilevel(train: CTRDataset, val: CTRDataset,
@@ -264,67 +328,10 @@ def search_bilevel(train: CTRDataset, val: CTRDataset,
     theta_opt = Adam(table_iv_groups(model, [model.cross_embedding],
                                      config.lr, config.l2_cross))
     alpha_opt = Adam(model.architecture_parameters(), lr=config.lr_arch)
-    history = History()
-
-    def _val_batches():
-        while True:
-            yield from val.iter_batches(config.batch_size, shuffle=True, rng=rng)
-
-    val_stream = _val_batches()
-    emit = EventFanout(bus, config.verbose)
-    guard = None
-    step = 0
-    if recovery is not None:
-        guard = DivergenceGuard(recovery, model, [theta_opt, alpha_opt],
-                                emit=emit)
-        guard.record_good()
-    tracer = emit.tracer(tracer)
-    with tracer.span("search.run", stage="bilevel",
-                     epochs=config.epochs):
-        for epoch in range(config.epochs):
-            temperature = _annealed_temperature(config, epoch)
-            model.combination.set_temperature(temperature)
-            model.train()
-            losses: List[float] = []
-            with tracer.span("search.epoch", epoch=epoch,
-                             temperature=temperature) as epoch_span:
-                for batch in train.iter_batches(config.batch_size,
-                                                shuffle=True, rng=rng):
-                    # Lower level: network weights on the training batch.
-                    model.zero_grad()
-                    loss = binary_cross_entropy_with_logits(model(batch),
-                                                            batch.y)
-                    value = guarded_backward(loss, guard, epoch=epoch,
-                                             step=step, stage="bilevel",
-                                             level="theta")
-                    if value is not None:
-                        theta_opt.step()
-                        losses.append(value)
-                    # Upper level: architecture parameters on a validation
-                    # batch.
-                    val_batch = next(val_stream)
-                    model.zero_grad()
-                    val_loss = binary_cross_entropy_with_logits(
-                        model(val_batch), val_batch.y)
-                    if guarded_backward(val_loss, guard, epoch=epoch,
-                                        step=step, split="validation",
-                                        stage="bilevel",
-                                        level="alpha") is not None:
-                        alpha_opt.step()
-                    step += 1
-                record = EpochRecord(epoch=epoch,
-                                     train_loss=mean_loss(losses))
-                metrics = evaluate_model(model, val)
-                record.val_auc = metrics["auc"]
-                record.val_log_loss = metrics["log_loss"]
-                history.append(record)
-                with tracer.span("search.alpha_update", epoch=epoch):
-                    _emit_search_epoch(emit, model, record, temperature,
-                                       stage="bilevel")
-                epoch_span.set_attr("train_loss", record.train_loss)
-            if guard is not None:
-                guard.record_good()
-    return SearchResult.of(model, history)
+    trainer = BilevelTrainer(model, theta_opt, alpha_opt, config, val,
+                             recovery=recovery, rng=rng,
+                             verbose=config.verbose, bus=bus, tracer=tracer)
+    return SearchResult.of(model, trainer.fit(train, val))
 
 
 def random_architecture(num_pairs: int,

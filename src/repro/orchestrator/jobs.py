@@ -86,6 +86,11 @@ class JobSpec:
             raise CampaignSpecError(
                 f"retrain job {self.job_id!r} requires arch_from (the "
                 f"search job providing its architecture)")
+        for name in ("n_samples", "epochs", "search_epochs"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise CampaignSpecError(
+                    f"job {self.job_id!r}: {name} must be >= 1, got {value}")
         if self.arch_from is not None and self.arch_from not in self.depends_on:
             # A retrain must never launch before its architecture exists.
             object.__setattr__(self, "depends_on",

@@ -7,8 +7,8 @@ usually *skip the batch*; if the blow-ups keep coming, *roll back to the
 last known-good state and try again more conservatively*.
 
 :class:`RecoveryPolicy` is the knob set; :class:`DivergenceGuard` is the
-mechanism, shared by :class:`~repro.training.trainer.Trainer` and the
-search loops in :mod:`repro.core.search`:
+mechanism, used by :class:`~repro.training.trainer.Trainer` and so by
+the search stages of :mod:`repro.core.search`, which run on it:
 
 * each non-finite loss or gradient is a **strike**: the batch's update is
   discarded and a ``recovery`` event (``action="skip"``) is emitted;

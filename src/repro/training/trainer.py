@@ -24,18 +24,20 @@ batch and, past a strike budget, rolling back to the last good state
 with the learning rate halved; every skip/rollback/resume emits a
 ``recovery`` event.
 
-The search loops of :mod:`repro.core` share these policies through the
-module-level helpers: :func:`guarded_backward` (the per-batch non-finite
-check), :func:`mean_loss`, :class:`EventFanout`, :func:`resume_latest`
-and :func:`save_checkpoint`.
+:meth:`Trainer._fit` is the only epoch loop.  The search stages of
+:mod:`repro.core` (joint, bi-level and higher-order) *are* ``Trainer``
+configurations: subclasses that override its hooks (see
+:class:`Trainer`), so every loop runs the same epoch span, validation
+pass, history record, checkpoint save and divergence guard.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,24 +80,6 @@ def evaluate_model(model: Module, dataset: CTRDataset,
     return evaluate_predictions(dataset.y, probs)
 
 
-def non_finite_loss_error(value: float, epoch: int, step: int,
-                          split: str = "training") -> RuntimeError:
-    """The fail-fast error of a training loop that runs without a guard.
-
-    ``split`` names the data the bad batch came from ("training", or
-    "validation" for the α level of the bi-level search).
-    """
-    return RuntimeError(
-        f"non-finite {split} loss ({value}) at epoch {epoch}, global step "
-        f"{step}; lower the learning rate or inspect the input data"
-    )
-
-
-def mean_loss(losses: List[float]) -> float:
-    """An epoch's mean batch loss; NaN when the guard skipped every batch."""
-    return float(np.mean(losses)) if losses else float("nan")
-
-
 def guarded_backward(loss: Tensor, guard: Optional[DivergenceGuard], *,
                      epoch: int, step: int, split: str = "training",
                      after_backward: Optional[Callable[[], None]] = None,
@@ -104,13 +88,18 @@ def guarded_backward(loss: Tensor, guard: Optional[DivergenceGuard], *,
 
     A non-finite loss raises without a guard and is a strike with one;
     so are non-finite gradients after ``after_backward`` (fault hooks).
-    ``labels`` lead each strike's payload.  The caller owns ``zero_grad``
-    and the optimizer step.
+    ``split`` names the batch's data in the error ("training", or
+    "validation" for the α level of the bi-level search); ``labels``
+    lead each strike's payload.  The caller owns ``zero_grad`` and the
+    optimizer step.
     """
     value = loss.item()
     if not np.isfinite(value):
         if guard is None:
-            raise non_finite_loss_error(value, epoch, step, split)
+            raise RuntimeError(
+                f"non-finite {split} loss ({value}) at epoch {epoch}, global "
+                f"step {step}; lower the learning rate or inspect the input "
+                "data")
         guard.strike("non_finite_loss", **labels, epoch=epoch, step=step,
                      loss=value)
         return None
@@ -122,52 +111,6 @@ def guarded_backward(loss: Tensor, guard: Optional[DivergenceGuard], *,
                      step=step, loss=value)
         return None
     return value
-
-
-class EventFanout:
-    """Emitter fanning out to the caller's bus plus a console bus when
-    verbose; :meth:`tracer` sends spans through the same buses."""
-
-    def __init__(self, bus: Optional[EventBus], verbose: bool) -> None:
-        self.buses: List[EventBus] = [] if bus is None else [bus]
-        if verbose:
-            self.buses.append(EventBus([ConsoleSink()]))
-
-    def __call__(self, event_type: str, **payload) -> None:
-        for bus in self.buses:
-            bus.emit(event_type, **payload)
-
-    def tracer(self, tracer: Optional[Tracer] = None) -> Tracer:
-        """``tracer`` if given (deterministic clock/ids), else a default."""
-        if tracer is not None:
-            return tracer
-        return Tracer(emit=self) if self.buses else Tracer()
-
-
-def resume_latest(manager: CheckpointManager, model: Module,
-                  optimizer: Optimizer, rng: np.random.Generator,
-                  emit: Callable[..., None]
-                  ) -> Optional[TrainingCheckpoint]:
-    """Restore the newest valid checkpoint (``recovery`` events for each
-    corrupt one skipped and the resume); returns it or ``None``."""
-    loaded = manager.latest_valid(on_corrupt=lambda path, error: emit(
-        "recovery", action="fallback", path=str(path), error=str(error)))
-    if loaded is None:
-        return None
-    checkpoint, path = loaded
-    checkpoint.restore(model, optimizer, rng=rng)
-    emit("recovery", action="resume", epoch=checkpoint.epoch,
-         global_step=checkpoint.global_step, path=str(path))
-    return checkpoint
-
-
-def save_checkpoint(manager: CheckpointManager,
-                    checkpoint: TrainingCheckpoint,
-                    emit: Callable[..., None]) -> None:
-    """Write ``checkpoint`` atomically and emit its ``checkpoint`` event."""
-    path = manager.save(checkpoint)
-    emit("checkpoint", epoch=checkpoint.epoch,
-         global_step=checkpoint.global_step, path=str(path))
 
 
 class Trainer:
@@ -186,7 +129,15 @@ class Trainer:
     ``on_backward`` runs between ``loss.backward()`` and the optimizer
     step (the hook fault injection uses to poison gradients);
     ``on_step`` runs after each applied update.
+
+    A subclass changes the loop through five hooks: :meth:`fit` (the run
+    span and run events around :meth:`_fit`), :meth:`_epoch` (the epoch
+    span and report), :meth:`_validate`, :meth:`_checkpoint_extras` and
+    :meth:`_step`; ``strike_labels`` lead every recovery strike's
+    payload.  The search stages of :mod:`repro.core` are such subclasses.
     """
+
+    strike_labels: Dict[str, str] = {}
 
     def __init__(
         self,
@@ -237,14 +188,23 @@ class Trainer:
             CheckpointManager(Path(checkpoint_dir), keep_last=keep_last)
             if checkpoint_dir is not None else None)
         self._global_step = 0
-        # Spans fan out through the same buses as plain events, so the
-        # trace file carries both.
-        self._emit = EventFanout(bus, verbose)
-        self.tracer = self._emit.tracer(tracer)
+        # Events fan out to the caller's bus plus a console bus when
+        # verbose; spans go through the same buses, so the trace file
+        # carries both.
+        self._buses: List[EventBus] = [] if bus is None else [bus]
+        if verbose:
+            self._buses.append(EventBus([ConsoleSink()]))
+        if tracer is None:
+            tracer = Tracer(emit=self._emit) if self._buses else Tracer()
+        self.tracer = tracer
         self._guard: Optional[DivergenceGuard] = (
             DivergenceGuard(recovery, model, optimizer, emit=self._emit,
                             on_rollback=self._rewind)
             if recovery is not None else None)
+
+    def _emit(self, event_type: str, **payload) -> None:
+        for bus in self._buses:
+            bus.emit(event_type, **payload)
 
     def _rewind(self, extras: Dict) -> None:
         """Rollback callback: rewind counters stored with the snapshot."""
@@ -275,8 +235,26 @@ class Trainer:
         for group in self.optimizer.param_groups:
             group["lr"] = group["lr"] * self.lr_decay
 
+    def _step(self, batch: Batch, epoch: int) -> Optional[float]:
+        """One guarded update on ``batch``; its loss, or ``None`` if the
+        guard struck it (struck updates do not count as steps)."""
+        self.optimizer.zero_grad()
+        loss = binary_cross_entropy_with_logits(self.model(batch), batch.y)
+        value = guarded_backward(
+            loss, self._guard, epoch=epoch, step=self._global_step,
+            after_backward=None if self.on_backward is None else partial(
+                self.on_backward, self.model, batch, self._global_step),
+            **self.strike_labels)
+        if value is not None:
+            if self.grad_clip_norm is not None:
+                self._clip_gradients()
+            self.optimizer.step()
+            self._global_step += 1
+        return value
+
     def train_epoch(self, train: CTRDataset, epoch: int = 0) -> float:
-        """One pass over the training data; returns the mean batch loss.
+        """One pass over the training data; returns the mean batch loss
+        (NaN when the guard skipped every batch).
 
         Without a recovery policy a non-finite loss raises immediately;
         with one, poisoned batches are skipped (and counted as strikes)
@@ -285,27 +263,17 @@ class Trainer:
         self.model.train()
         losses = []
         for batch in train.iter_batches(self.batch_size, shuffle=True, rng=self.rng):
-            self.optimizer.zero_grad()
-            logits = self.model(batch)
-            loss = binary_cross_entropy_with_logits(logits, batch.y)
-            value = guarded_backward(
-                loss, self._guard, epoch=epoch, step=self._global_step,
-                after_backward=None if self.on_backward is None else partial(
-                    self.on_backward, self.model, batch, self._global_step))
+            value = self._step(batch, epoch)
             if value is None:
                 continue
-            if self.grad_clip_norm is not None:
-                self._clip_gradients()
-            self.optimizer.step()
             losses.append(value)
-            self._global_step += 1
             if (self.log_every is not None
                     and self._global_step % self.log_every == 0):
                 self._emit("step", epoch=epoch, step=self._global_step,
                            loss=value)
             if self.on_step is not None:
                 self.on_step(self.model, batch, value)
-        return mean_loss(losses)
+        return float(np.mean(losses)) if losses else float("nan")
 
     def fit(self, train: CTRDataset, val: Optional[CTRDataset] = None) -> History:
         """Train until convergence or ``max_epochs``.
@@ -322,84 +290,113 @@ class Trainer:
         """
         with self.tracer.span("train.run",
                               model=type(self.model).__name__) as run_span:
-            history = self._fit(train, val, run_span)
+            run_start = time.perf_counter()
+            history, start_epoch = self._resume()
+            self._emit("run_start", model=type(self.model).__name__,
+                       params=self.model.num_parameters(),
+                       n_train=len(train),
+                       n_val=len(val) if val is not None else 0,
+                       batch_size=self.batch_size, max_epochs=self.max_epochs)
+            self._fit(train, val, history, start_epoch, run_span)
+            if self._best_state is not None:
+                self.model.load_state_dict(self._best_state)
+            best_auc = None if self._best_auc == -np.inf else self._best_auc
+            run_span.set_attr("epochs_run", len(history))
+            if best_auc is not None:
+                run_span.set_attr("best_val_auc", best_auc)
+            self._emit("run_end", epochs_run=len(history),
+                       best_val_auc=best_auc,
+                       wall_s=time.perf_counter() - run_start)
         return history
 
+    def _resume(self) -> Tuple[History, int]:
+        """Reset the early-stopping state, then restore the newest valid
+        checkpoint when resuming (a ``recovery`` event for each corrupt
+        one skipped and for the resume); the history so far and the
+        first epoch to run."""
+        self._best_auc, self._stale, self._best_state = -np.inf, 0, None
+        if self.checkpoints is None or not self.resume:
+            return History(), 0
+        loaded = self.checkpoints.latest_valid(
+            on_corrupt=lambda path, error: self._emit(
+                "recovery", action="fallback", path=str(path),
+                error=str(error)))
+        if loaded is None:
+            return History(), 0
+        checkpoint, path = loaded
+        checkpoint.restore(self.model, self.optimizer, rng=self.rng)
+        self._emit("recovery", action="resume", epoch=checkpoint.epoch,
+                   global_step=checkpoint.global_step, path=str(path))
+        self._global_step = checkpoint.global_step
+        saved_auc = checkpoint.extras.get("best_auc")
+        self._best_auc = -np.inf if saved_auc is None else float(saved_auc)
+        self._stale = int(checkpoint.extras.get("stale", 0))
+        self._best_state = checkpoint.best_state
+        return checkpoint.history, checkpoint.epoch + 1
+
     def _fit(self, train: CTRDataset, val: Optional[CTRDataset],
-             run_span) -> History:
-        run_start = time.perf_counter()
-        history = History()
-        best_auc = -np.inf
-        best_state = None
-        stale = 0
-        start_epoch = 0
-        if self.checkpoints is not None and self.resume:
-            checkpoint = resume_latest(self.checkpoints, self.model,
-                                       self.optimizer, self.rng, self._emit)
-            if checkpoint is not None:
-                self._global_step = checkpoint.global_step
-                history = checkpoint.history
-                start_epoch = checkpoint.epoch + 1
-                saved_auc = checkpoint.extras.get("best_auc")
-                best_auc = -np.inf if saved_auc is None else float(saved_auc)
-                stale = int(checkpoint.extras.get("stale", 0))
-                best_state = checkpoint.best_state
-        self._emit("run_start", model=type(self.model).__name__,
-                   params=self.model.num_parameters(),
-                   n_train=len(train), n_val=len(val) if val is not None else 0,
-                   batch_size=self.batch_size, max_epochs=self.max_epochs)
+             history: History, start_epoch: int, run_span) -> None:
+        """The epoch loop: train, validate, record, checkpoint, and mark
+        the state good for the divergence guard."""
         if self._guard is not None:
             self._guard.record_good(extras={"global_step": self._global_step})
         for epoch in range(start_epoch, self.max_epochs):
             # Checked at the top so a resume from the early-stop epoch's
             # checkpoint does not train past where the original stopped.
-            if val is not None and stale >= self.patience:
+            if val is not None and self._stale >= self.patience:
                 break
-            epoch_start = time.perf_counter()
-            with self.tracer.span("train.epoch", parent=run_span,
-                                  epoch=epoch) as epoch_span:
-                train_loss = self.train_epoch(train, epoch=epoch)
+            with self._epoch(run_span, epoch) as record:
+                record.train_loss = self.train_epoch(train, epoch=epoch)
                 if self.lr_decay is not None:
                     self._decay_learning_rates()
-                record = EpochRecord(epoch=epoch, train_loss=train_loss)
                 if val is not None and len(val) > 0:
-                    with self.tracer.span("train.eval", split="val",
-                                          epoch=epoch) as eval_span:
-                        metrics = evaluate_model(self.model, val)
-                        eval_span.set_attr("auc", metrics["auc"])
-                    record.val_auc = metrics["auc"]
-                    record.val_log_loss = metrics["log_loss"]
-                    self._emit("eval", split="val", epoch=epoch,
-                               auc=record.val_auc,
-                               log_loss=record.val_log_loss)
-                    if record.val_auc > best_auc:
-                        best_auc = record.val_auc
-                        best_state = self.model.state_dict()
-                        stale = 0
-                    else:
-                        stale += 1
-                epoch_span.set_attr("train_loss", train_loss)
+                    self._validate(val, record)
             history.append(record)
-            self._emit("epoch_end", epoch_s=time.perf_counter() - epoch_start,
-                       **record.as_dict())
             if self.checkpoints is not None:
-                save_checkpoint(self.checkpoints, TrainingCheckpoint.capture(
+                path = self.checkpoints.save(TrainingCheckpoint.capture(
                     self.model, self.optimizer, epoch=epoch,
                     global_step=self._global_step, rng=self.rng,
-                    history=history,
-                    extras={"best_auc": (None if best_auc == -np.inf
-                                         else float(best_auc)),
-                            "stale": int(stale)},
-                    best_state=best_state), self._emit)
+                    history=history, extras=self._checkpoint_extras(),
+                    best_state=self._best_state))
+                self._emit("checkpoint", epoch=epoch,
+                           global_step=self._global_step, path=str(path))
             if self._guard is not None:
                 self._guard.record_good(
                     extras={"global_step": self._global_step})
-        if best_state is not None:
-            self.model.load_state_dict(best_state)
-        run_span.set_attr("epochs_run", len(history))
-        if best_auc != -np.inf:
-            run_span.set_attr("best_val_auc", best_auc)
-        self._emit("run_end", epochs_run=len(history),
-                   best_val_auc=None if best_auc == -np.inf else best_auc,
-                   wall_s=time.perf_counter() - run_start)
-        return history
+
+    @contextmanager
+    def _epoch(self, run_span, epoch: int) -> Iterator[EpochRecord]:
+        """The ``train.epoch`` span and ``epoch_end`` event around one
+        epoch; the loop fills in the yielded record."""
+        epoch_start = time.perf_counter()
+        record = EpochRecord(epoch=epoch, train_loss=float("nan"))
+        with self.tracer.span("train.epoch", parent=run_span,
+                              epoch=epoch) as epoch_span:
+            yield record
+            epoch_span.set_attr("train_loss", record.train_loss)
+        self._emit("epoch_end", epoch_s=time.perf_counter() - epoch_start,
+                   **record.as_dict())
+
+    def _validate(self, val: CTRDataset, record: EpochRecord) -> None:
+        """Score ``val`` into ``record`` (a ``train.eval`` span and an
+        ``eval`` event) and track the best epoch for early stopping."""
+        with self.tracer.span("train.eval", split="val",
+                              epoch=record.epoch) as eval_span:
+            metrics = evaluate_model(self.model, val)
+            eval_span.set_attr("auc", metrics["auc"])
+        record.val_auc = metrics["auc"]
+        record.val_log_loss = metrics["log_loss"]
+        self._emit("eval", split="val", epoch=record.epoch,
+                   auc=record.val_auc, log_loss=record.val_log_loss)
+        if record.val_auc > self._best_auc:
+            self._best_auc = record.val_auc
+            self._best_state = self.model.state_dict()
+            self._stale = 0
+        else:
+            self._stale += 1
+
+    def _checkpoint_extras(self) -> Dict:
+        """The early-stopping counters a resumed run continues from."""
+        return {"best_auc": (None if self._best_auc == -np.inf
+                             else float(self._best_auc)),
+                "stale": int(self._stale)}

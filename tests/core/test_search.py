@@ -23,6 +23,30 @@ def _config(**overrides):
     return SearchConfig(**base)
 
 
+class TestSearchConfigValidation:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"temperature_end": 0.0}, "temperatures must be positive"),
+        ({"temperature_start": -1.0}, "temperatures must be positive"),
+    ])
+    def test_rejected_at_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            _config(**overrides)
+
+    def test_zero_epochs_never_reach_the_search(self, tiny_splits, tmp_path):
+        """A zero-epoch search used to return the untrained-α decode (every
+        pair memorized); a zero end temperature used to fail only after
+        epoch 0 had trained and checkpointed."""
+        train, val, _ = tiny_splits
+        with pytest.raises(ValueError):
+            search_optinter(train, val, _config(epochs=0))
+        with pytest.raises(ValueError):
+            search_optinter(train, val, _config(temperature_end=0.0),
+                            checkpoint_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestJointSearch:
     def test_returns_valid_architecture(self, tiny_splits):
         train, val, _ = tiny_splits

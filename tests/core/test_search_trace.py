@@ -1,10 +1,17 @@
 """Search-stage observability: α snapshots reconstruct the selection."""
 
 import numpy as np
+import pytest
 
 from repro.core import Architecture, SearchConfig, search_bilevel, search_optinter
 from repro.core.architecture import METHOD_ORDER
+from repro.models import FNN
+from repro.nn import Adam
 from repro.obs import EventBus, MemorySink, read_trace
+from repro.obs.tracing import Tracer, sequential_ids
+from repro.resilience import RecoveryPolicy
+from repro.resilience.faults import BatchCorruptor, FaultyDataset
+from repro.training import Trainer
 
 
 def _config(**overrides):
@@ -102,3 +109,107 @@ class TestSearchAlphaEvents:
         assert snapshots[0].payload["stage"] == "bilevel"
         assert snapshots[0].payload["methods"] == [m.value
                                                    for m in result.architecture]
+
+
+def _event_shape(sink):
+    """Each event as ``(type, span name, parent span name, payload keys)``;
+    a span's ``attrs`` keys follow its own, prefixed ``attrs.``."""
+    names = {e.payload["span_id"]: e.payload["name"]
+             for e in sink.events if e.type == "span"}
+    shape = []
+    for event in sink.events:
+        keys = list(event.payload)
+        if event.type != "span":
+            shape.append((event.type, None, None, keys))
+            continue
+        keys += [f"attrs.{key}" for key in event.payload.get("attrs", {})]
+        shape.append(("span", event.payload["name"],
+                      names.get(event.payload["parent_id"]), keys))
+    return shape
+
+
+def _traced():
+    sink = MemorySink()
+    bus = EventBus([sink])
+    return sink, bus, Tracer(bus=bus, ids=sequential_ids("s"))
+
+
+_SPAN = ["name", "trace_id", "span_id", "parent_id", "start", "duration_s",
+         "status"]
+_EPOCH_END = ["stage", "epoch", "train_loss", "val_auc", "val_log_loss"]
+_ALPHA = ["stage", "epoch", "temperature", "alpha", "probabilities",
+          "methods", "counts"]
+
+
+def _search_epoch(extra_before=()):
+    return [*extra_before,
+            ("search_alpha", None, None, _ALPHA),
+            ("epoch_end", None, None, _EPOCH_END),
+            ("span", "search.alpha_update", "search.epoch",
+             _SPAN + ["attrs", "attrs.epoch"]),
+            ("span", "search.epoch", "search.run",
+             _SPAN + ["attrs", "attrs.epoch", "attrs.temperature",
+                      "attrs.train_loss"])]
+
+
+@pytest.mark.invariants
+class TestEventStreamPinned:
+    """The ordered event stream of each loop, pinned: types, span names
+    and parentage, and payload keys in emission order."""
+
+    def test_checkpointed_guarded_search(self, tiny_splits, tmp_path):
+        train, val, _ = tiny_splits
+        sink, bus, tracer = _traced()
+        search_optinter(FaultyDataset(train, BatchCorruptor(at_batch=1)),
+                        val, _config(), bus=bus, tracer=tracer,
+                        checkpoint_dir=tmp_path,
+                        recovery=RecoveryPolicy(max_batch_skips=2))
+        checkpoint = ("checkpoint", None, None,
+                      ["epoch", "global_step", "path"])
+        skip = ("recovery", None, None,
+                ["action", "reason", "strikes", "stage", "epoch", "step",
+                 "loss"])
+        assert _event_shape(sink) == [
+            *_search_epoch([skip]), checkpoint,
+            *_search_epoch(), checkpoint,
+            ("span", "search.run", None,
+             _SPAN + ["attrs", "attrs.stage", "attrs.epochs", "attrs.steps"]),
+        ]
+
+    def test_bilevel_search(self, tiny_splits):
+        train, val, _ = tiny_splits
+        sink, bus, tracer = _traced()
+        search_bilevel(train, val, _config(), bus=bus, tracer=tracer)
+        assert _event_shape(sink) == [
+            *_search_epoch(), *_search_epoch(),
+            ("span", "search.run", None,
+             _SPAN + ["attrs", "attrs.stage", "attrs.epochs"]),
+        ]
+
+    def test_validated_trainer_fit(self, tiny_splits):
+        train, val, _ = tiny_splits
+        sink, bus, tracer = _traced()
+        model = FNN(train.cardinalities, embed_dim=4, hidden_dims=(8,),
+                    rng=np.random.default_rng(0))
+        Trainer(model, Adam(model.parameters(), lr=3e-3), batch_size=128,
+                max_epochs=2, rng=np.random.default_rng(1), bus=bus,
+                tracer=tracer).fit(train, val)
+        epoch = [
+            ("span", "train.eval", "train.epoch",
+             _SPAN + ["attrs", "attrs.split", "attrs.epoch", "attrs.auc"]),
+            ("eval", None, None, ["split", "epoch", "auc", "log_loss"]),
+            ("span", "train.epoch", "train.run",
+             _SPAN + ["attrs", "attrs.epoch", "attrs.train_loss"]),
+            ("epoch_end", None, None,
+             ["epoch_s", "epoch", "train_loss", "val_auc", "val_log_loss"]),
+        ]
+        assert _event_shape(sink) == [
+            ("run_start", None, None,
+             ["model", "params", "n_train", "n_val", "batch_size",
+              "max_epochs"]),
+            *epoch, *epoch,
+            ("run_end", None, None, ["epochs_run", "best_val_auc", "wall_s"]),
+            ("span", "train.run", None,
+             _SPAN + ["attrs", "attrs.model", "attrs.epochs_run",
+                      "attrs.best_val_auc"]),
+        ]

@@ -30,6 +30,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.resilience import CrashAtChunk, InjectedCrash
 from repro.resilience.faults import GARBAGE_LINES, inject_garbage_lines
 
+pytestmark = pytest.mark.invariants
+
 CATEGORICAL = ["C1", "C2", "C3"]
 CONTINUOUS = ["I1", "I2"]
 HEADER = "label," + ",".join(CONTINUOUS + CATEGORICAL)

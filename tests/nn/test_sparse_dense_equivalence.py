@@ -34,6 +34,8 @@ from repro.nn import (
 )
 from repro.resilience.checkpoint import TrainingCheckpoint
 
+pytestmark = pytest.mark.invariants
+
 OPTIMIZERS = {
     "sgd_momentum": lambda params: SGD(params, lr=0.05, momentum=0.9),
     "adam": lambda params: Adam(params, lr=0.01),

@@ -33,6 +33,17 @@ class TestJobSpec:
         with pytest.raises(CampaignSpecError):
             JobSpec(job_id="", kind="search")
 
+    @pytest.mark.parametrize("field", ["n_samples", "epochs",
+                                       "search_epochs"])
+    def test_non_positive_sizes_rejected(self, field):
+        with pytest.raises(CampaignSpecError, match=f"{field} must be >= 1"):
+            JobSpec(job_id="j1", kind="search", **{field: 0})
+
+    def test_zero_epoch_campaign_rejected(self):
+        with pytest.raises(CampaignSpecError):
+            build_campaign(["FNN"], ["criteo"], epochs=0, search_epochs=0,
+                           n_samples=0, optinter_chain=True)
+
 
 class TestCampaignSpec:
     def test_duplicate_ids_rejected(self):

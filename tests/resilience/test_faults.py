@@ -109,6 +109,7 @@ class TestInjectors:
         assert crash.applied == 3
 
 
+@pytest.mark.invariants
 class TestCrashResume:
     def test_interrupted_run_resumes_bit_for_bit(self, tiny_splits, tmp_path):
         """Acceptance: kill mid-training, resume, match the clean run."""
@@ -254,6 +255,7 @@ class TestNaNRecovery:
         assert np.isfinite(history.last.val_auc)
 
 
+@pytest.mark.invariants
 class TestPipelineResume:
     def test_search_resume_bit_for_bit(self, tiny_splits, tmp_path):
         train, val, _ = tiny_splits

@@ -45,7 +45,7 @@ from repro.serving import (
     build_serving_stack,
 )
 
-pytestmark = pytest.mark.serving
+pytestmark = [pytest.mark.serving, pytest.mark.invariants]
 
 _STACKS = {}
 

@@ -59,6 +59,7 @@ def assert_identical(a, b, where=""):
 
 
 class TestPassthrough:
+    @pytest.mark.invariants
     def test_pool_of_one_is_bitwise_identical_to_the_service(self, make_pool):
         pool = make_pool(n=1)
         solo = pool.replicas[0].service
@@ -67,6 +68,7 @@ class TestPassthrough:
                              solo.predict(features, request_id="r"),
                              where=repr(features))
 
+    @pytest.mark.invariants
     def test_pool_of_one_batch_is_bitwise_identical(self, make_pool):
         pool = make_pool(n=1)
         solo = pool.replicas[0].service

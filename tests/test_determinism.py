@@ -22,6 +22,8 @@ from repro.core import (
 )
 from repro.data import SyntheticConfig, criteo_like, make_dataset
 
+pytestmark = pytest.mark.invariants
+
 
 @pytest.fixture(scope="module")
 def pinned_dataset():
