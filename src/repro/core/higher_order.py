@@ -32,9 +32,10 @@ from ..models.base import (
     flatten_embeddings,
     pair_index_arrays,
 )
+from ..nn import functional as F
 from ..nn.layers import MLP
 from ..nn.optim import Adam
-from ..nn.tensor import Tensor, concatenate
+from ..nn.tensor import Tensor, concatenate, index_select
 from ..training.history import History
 from ..training.trainer import Trainer
 from .architecture import Architecture, Method
@@ -153,12 +154,13 @@ class HigherOrderOptInter(CTRModel):
     # ------------------------------------------------------------------
     def _pair_factorized(self, emb: Tensor, subset: List[int]) -> Tensor:
         idx = np.asarray(subset, dtype=np.int64)
-        return emb[:, self._idx_i[idx], :] * emb[:, self._idx_j[idx], :]
+        return F.hadamard_products(emb, self._idx_i[idx], self._idx_j[idx])
 
     def _triple_factorized(self, emb: Tensor, subset: List[int]) -> Tensor:
         idx = np.asarray(subset, dtype=np.int64)
         a, b, c = self._t_idx
-        return (emb[:, a[idx], :] * emb[:, b[idx], :]) * emb[:, c[idx], :]
+        return (F.hadamard_products(emb, a[idx], b[idx])
+                * index_select(emb, c[idx], axis=1))
 
     def _check_triples(self, batch: Batch) -> None:
         if self.num_triples and batch.x_triple is None:

@@ -223,9 +223,9 @@ class BilevelTrainer(SearchTrainer):
     by an α step, with its own optimizer, on the next batch of an endless
     shuffled stream over ``val``.
 
-    One guard covers both levels and both optimizers.  A step counts even
-    when its Θ update was struck, and a rollback does not rewind the
-    count; the run span reports no ``steps``.
+    One guard covers both levels and both optimizers.  As in
+    :class:`Trainer`, only applied Θ updates count as steps and a
+    rollback rewinds the count; the run span reports no ``steps``.
     """
 
     stage = "bilevel"
@@ -242,7 +242,7 @@ class BilevelTrainer(SearchTrainer):
         if recovery is not None:
             self._guard = DivergenceGuard(
                 recovery, model, [theta_optimizer, alpha_optimizer],
-                emit=self._emit)
+                emit=self._emit, on_rollback=self._rewind)
 
     def _endless(self, val: CTRDataset) -> Iterator[Batch]:
         while True:
@@ -250,26 +250,26 @@ class BilevelTrainer(SearchTrainer):
                                         rng=self.rng)
 
     def _step(self, batch: Batch, epoch: int) -> Optional[float]:
+        step = self._global_step
         # Lower level: network weights on the training batch.
         self.model.zero_grad()
         loss = binary_cross_entropy_with_logits(self.model(batch), batch.y)
-        value = guarded_backward(loss, self._guard, epoch=epoch,
-                                 step=self._global_step, **self.strike_labels,
-                                 level="theta")
+        value = guarded_backward(loss, self._guard, epoch=epoch, step=step,
+                                 **self.strike_labels, level="theta")
         if value is not None:
             self.optimizer.step()
+            self._global_step += 1
         # Upper level: architecture parameters on a validation batch.
         val_batch = next(self._val_batches)
         self.model.zero_grad()
         val_loss = binary_cross_entropy_with_logits(self.model(val_batch),
                                                     val_batch.y)
-        if guarded_backward(val_loss, self._guard, epoch=epoch,
-                            step=self._global_step, split="validation",
-                            **self.strike_labels,
+        if guarded_backward(val_loss, self._guard, epoch=epoch, step=step,
+                            split="validation", **self.strike_labels,
                             level="alpha") is not None:
             self.alpha_optimizer.step()
-        self._global_step += 1
-        return value
+        # An α-level rollback rewinds past this batch's Θ update too.
+        return value if self._global_step > step else None
 
 
 def search_optinter(train: CTRDataset, val: Optional[CTRDataset],

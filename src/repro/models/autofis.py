@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..data.dataset import Batch, CTRDataset
+from ..nn import functional as F
 from ..nn import init
 from ..nn.layers import MLP
 from ..nn.module import Parameter
@@ -62,7 +63,7 @@ class AutoFIS(CTRModel):
 
     def forward(self, batch: Batch) -> Tensor:
         emb = self.embedding(batch.x)
-        inner = (emb[:, self._idx_i, :] * emb[:, self._idx_j, :]).sum(axis=-1)
+        inner = F.inner_products(emb, self._idx_i, self._idx_j)
         if self._fixed_mask is not None:
             gated = inner * Tensor(self._fixed_mask)
         else:

@@ -12,10 +12,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..data.dataset import Batch
+from ..nn import functional as F
 from ..nn import init
 from ..nn.layers import MLP
 from ..nn.module import Parameter
-from ..nn.tensor import Tensor, concatenate
+from ..nn.tensor import Tensor, concatenate, index_select
 from .base import (
     CrossEmbedding,
     CTRModel,
@@ -61,7 +62,7 @@ class IPNN(CTRModel):
 
     def forward(self, batch: Batch) -> Tensor:
         emb = self.embedding(batch.x)
-        inner = (emb[:, self._idx_i, :] * emb[:, self._idx_j, :]).sum(axis=-1)
+        inner = F.inner_products(emb, self._idx_i, self._idx_j)
         features = concatenate([flatten_embeddings(emb), inner], axis=1)
         return self.mlp(features).reshape(emb.shape[0])
 
@@ -160,8 +161,8 @@ class PIN(CTRModel):
         emb = self.embedding(batch.x)
         n = emb.shape[0]
         num_pairs = len(self._idx_i)
-        e_i = emb[:, self._idx_i, :]
-        e_j = emb[:, self._idx_j, :]
+        e_i = index_select(emb, self._idx_i, axis=1)
+        e_j = index_select(emb, self._idx_j, axis=1)
         z = concatenate([e_i, e_j, e_i * e_j], axis=-1)  # [n, P, 3d]
         z = z.reshape(n, num_pairs, 1, 3 * self.embed_dim)
         hidden = ((z @ self.w1) + self.b1).relu()  # [n, P, 1, h]

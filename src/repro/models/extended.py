@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..data.dataset import Batch
+from ..nn import functional as F
 from ..nn import init
 from ..nn.layers import MLP
 from ..nn.module import Module, Parameter
@@ -30,9 +31,10 @@ class FFM(CTRModel):
     """Field-aware FM: one latent vector per (feature, other-field) pair.
 
     The flat embedding table has width ``M * d``; reshaping to
-    ``[n, M, M, d]`` gives each field a latent vector specialised for every
-    other field, exactly the FFM parameterisation (its table is M× larger
-    than FM's, matching the original paper's memory profile).
+    ``[n, M*M, d]`` gives each field a latent vector specialised for every
+    other field (row ``owner*M + target``), exactly the FFM
+    parameterisation (its table is M× larger than FM's, matching the
+    original paper's memory profile).
     """
 
     def __init__(self, cardinalities: Sequence[int], embed_dim: int = 4,
@@ -45,18 +47,19 @@ class FFM(CTRModel):
         self.latent = FieldEmbedding(cardinalities,
                                      self.num_fields * embed_dim, rng=rng)
         self.bias = Parameter(init.zeros((1,)), name="bias")
-        self._idx_i, self._idx_j = pair_index_arrays(self.num_fields)
+        idx_i, idx_j = pair_index_arrays(self.num_fields)
+        # e_i^(j): owner i's vector specialised for field j, and vice versa.
+        self._i_for_j = idx_i * self.num_fields + idx_j
+        self._j_for_i = idx_j * self.num_fields + idx_i
 
     def forward(self, batch: Batch) -> Tensor:
         n = batch.x.shape[0]
         first_order = self.weights(batch.x).sum(axis=(1, 2))
-        # [n, M, M*d] -> [n, M (owner), M (target), d]
+        # [n, M, M*d] -> [n, M (owner) * M (target), d]
         latent = self.latent(batch.x).reshape(
-            n, self.num_fields, self.num_fields, self.embed_dim)
-        # e_i^(j): owner i's vector specialised for field j, and vice versa.
-        e_i_for_j = latent[:, self._idx_i, self._idx_j, :]
-        e_j_for_i = latent[:, self._idx_j, self._idx_i, :]
-        second_order = (e_i_for_j * e_j_for_i).sum(axis=(1, 2))
+            n, self.num_fields * self.num_fields, self.embed_dim)
+        second_order = F.hadamard_products(
+            latent, self._i_for_j, self._j_for_i).sum(axis=(1, 2))
         return first_order + second_order + self.bias
 
 

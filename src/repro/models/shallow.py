@@ -12,9 +12,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..data.dataset import Batch
+from ..nn import functional as F
 from ..nn import init
 from ..nn.module import Parameter
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, index_select
 from .base import CrossEmbedding, CTRModel, FieldEmbedding, pair_index_arrays
 
 
@@ -103,9 +104,7 @@ class FwFM(CTRModel):
     def forward(self, batch: Batch) -> Tensor:
         first_order = self.weights(batch.x).sum(axis=(1, 2))
         emb = self.latent(batch.x)  # [n, M, d]
-        e_i = emb[:, self._idx_i, :]
-        e_j = emb[:, self._idx_j, :]
-        inner = (e_i * e_j).sum(axis=-1)  # [n, P]
+        inner = F.inner_products(emb, self._idx_i, self._idx_j)  # [n, P]
         weighted = (inner * self.pair_weights).sum(axis=-1)
         return first_order + weighted + self.bias
 
@@ -137,8 +136,9 @@ class FmFM(CTRModel):
         emb = self.latent(batch.x)
         n = emb.shape[0]
         num_pairs = len(self._idx_i)
-        e_i = emb[:, self._idx_i, :].reshape(n, num_pairs, 1, self.embed_dim)
-        e_j = emb[:, self._idx_j, :]
+        e_i = index_select(emb, self._idx_i, axis=1).reshape(
+            n, num_pairs, 1, self.embed_dim)
+        e_j = index_select(emb, self._idx_j, axis=1)
         projected = (e_i @ self.pair_matrices).reshape(n, num_pairs, self.embed_dim)
         inner = (projected * e_j).sum(axis=(1, 2))
         return first_order + inner + self.bias

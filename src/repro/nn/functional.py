@@ -1,9 +1,9 @@
 """Functional (stateless) operations on tensors.
 
-Thin functional counterparts of the layer classes plus utilities
-(one-hot encoding, log-softmax, normalisation) that models and analyses
-call without instantiating a module.  All functions are differentiable
-where that makes sense.
+The one implementation of each formula it holds (the layers, the model
+zoo's pair interactions and the trainer's gradient clip call it), plus
+utilities such as one-hot encoding and log-softmax.  All functions are
+differentiable where that makes sense.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, concatenate
+from .tensor import Tensor, concatenate, index_select
 
 
 def relu(x: Tensor) -> Tensor:
@@ -94,13 +94,15 @@ def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
 
 def inner_products(emb: Tensor, idx_i: np.ndarray, idx_j: np.ndarray) -> Tensor:
     """Pairwise inner products ``<e_i, e_j>`` from ``[n, M, d]`` embeddings."""
-    return (emb[:, idx_i, :] * emb[:, idx_j, :]).sum(axis=-1)
+    return hadamard_products(emb, idx_i, idx_j).sum(axis=-1)
 
 
 def hadamard_products(emb: Tensor, idx_i: np.ndarray,
                       idx_j: np.ndarray) -> Tensor:
-    """Pairwise Hadamard products (paper Eq. 14) from ``[n, M, d]``."""
-    return emb[:, idx_i, :] * emb[:, idx_j, :]
+    """Pairwise Hadamard products (paper Eq. 14) from ``[n, M, d]``; the
+    ``index_select`` gathers equal ``emb[:, idx, :]`` bit for bit."""
+    return (index_select(emb, idx_i, axis=1)
+            * index_select(emb, idx_j, axis=1))
 
 
 def mean_pool(tensors: Sequence[Tensor]) -> Tensor:
@@ -116,12 +118,20 @@ def mean_pool(tensors: Sequence[Tensor]) -> Tensor:
 
 def clip_by_global_norm(grads: Sequence[np.ndarray],
                         max_norm: float) -> list:
-    """Scale raw gradient arrays so their joint L2 norm is at most max_norm."""
+    """Scale gradients so their joint L2 norm is at most max_norm.
+
+    Works for dense and :class:`~repro.nn.sparse.SparseGrad` gradients:
+    ``g * g`` and scaling are row-local, and untouched sparse rows add
+    exact zeros.  The sum's *grouping* differs from the dense path, so
+    clipped runs agree across paths mathematically but not bitwise (see
+    docs/performance.md).  A NaN norm scales nothing: a non-finite
+    gradient stays confined to its own parameter.
+    """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     total = float(sum((g * g).sum() for g in grads))
     norm = np.sqrt(total)
-    if norm <= max_norm or norm == 0.0:
+    if not norm > max_norm:
         return list(grads)
     scale = max_norm / norm
     return [g * scale for g in grads]

@@ -12,6 +12,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from . import functional as F
 from . import init
 from .module import Module, Parameter
 from .tensor import Tensor, embedding_lookup
@@ -37,10 +38,7 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,)), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -99,11 +97,7 @@ class LayerNorm(Module):
         self.beta = Parameter(init.zeros((normalized_shape,)), name="beta")
 
     def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normalized = centered * ((var + self.eps) ** -0.5)
-        return normalized * self.gamma + self.beta
+        return F.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class BatchNorm1d(Module):
@@ -176,11 +170,7 @@ class Dropout(Module):
         self._rng = rng or np.random.default_rng()
 
     def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * Tensor(mask)
+        return F.dropout(x, self.p, self._rng, self.training)
 
 
 class ReLU(Module):

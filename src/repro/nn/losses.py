@@ -31,7 +31,10 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
         targets = targets.reshape(logits.shape)
     z = logits
     relu_z = z.relu()
-    abs_z = z * Tensor(np.sign(z.data))
+    # z == 0 takes the z < 0 branch in both terms, as relu's zero
+    # derivative does; np.sign(0) == 0 would drop the softplus slope and
+    # leave -y instead of sigmoid(0) - y.
+    abs_z = z * Tensor(np.where(z.data > 0, 1.0, -1.0))
     softplus = (1.0 + (-abs_z).exp()).log()
     losses = relu_z - z * Tensor(targets) + softplus
     return losses.mean()

@@ -43,6 +43,7 @@ import numpy as np
 
 from ..data.dataset import Batch, CTRDataset
 from ..fsutil import PathLike
+from ..nn import functional as F
 from ..nn.losses import binary_cross_entropy_with_logits
 from ..nn.module import Module
 from ..nn.optim import Optimizer
@@ -57,17 +58,10 @@ from .metrics import evaluate_predictions
 
 def predict_dataset(model: Module, dataset: CTRDataset,
                     batch_size: int = 4096) -> np.ndarray:
-    """Predicted click probabilities for a whole dataset (eval mode)."""
-    from ..nn.tensor import no_grad
-
-    was_training = model.training
-    model.eval()
-    chunks = []
-    with no_grad():
-        for batch in dataset.iter_batches(batch_size):
-            logits = model(batch)
-            chunks.append(logits.sigmoid().numpy().ravel())
-    model.train(was_training)
+    """Predicted click probabilities for a whole dataset, scored chunk by
+    chunk through ``model.predict_proba`` (eval mode, no graph)."""
+    chunks = [model.predict_proba(batch)
+              for batch in dataset.iter_batches(batch_size)]
     # The empty case must match the dtype of the populated case so
     # downstream metric code never branches on dtype.
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
@@ -188,6 +182,7 @@ class Trainer:
             CheckpointManager(Path(checkpoint_dir), keep_last=keep_last)
             if checkpoint_dir is not None else None)
         self._global_step = 0
+        self._epoch_losses: List[float] = []
         # Events fan out to the caller's bus plus a console bus when
         # verbose; spans go through the same buses, so the trace file
         # carries both.
@@ -207,29 +202,19 @@ class Trainer:
             bus.emit(event_type, **payload)
 
     def _rewind(self, extras: Dict) -> None:
-        """Rollback callback: rewind counters stored with the snapshot."""
+        """Rollback callback: rewind counters stored with the snapshot and
+        drop the epoch's losses, whose updates the rollback discarded."""
         self._global_step = int(extras.get("global_step", self._global_step))
+        self._epoch_losses.clear()
 
     def _clip_gradients(self) -> None:
-        """Scale all gradients so their global L2 norm is at most the cap.
-
-        Works for both dense and :class:`~repro.nn.sparse.SparseGrad`
-        gradients: ``g * g`` and scalar scaling are row-local, and a
-        sparse gradient's untouched rows contribute exact zeros to the
-        norm.  The summation *grouping* differs from the dense path, so
-        clipped runs agree mathematically but not bitwise across paths
-        (see docs/performance.md).
-        """
-        total = 0.0
-        grads = [p.grad for p in self.model.parameters() if p.grad is not None]
-        for grad in grads:
-            total += float((grad * grad).sum())
-        norm = np.sqrt(total)
-        if norm > self.grad_clip_norm and norm > 0:
-            scale = self.grad_clip_norm / norm
-            for param in self.model.parameters():
-                if param.grad is not None:
-                    param.grad = param.grad * scale
+        """Scale all gradients so their global L2 norm is at most the cap
+        (see :func:`~repro.nn.functional.clip_by_global_norm`)."""
+        params = [p for p in self.model.parameters() if p.grad is not None]
+        clipped = F.clip_by_global_norm([p.grad for p in params],
+                                        self.grad_clip_norm)
+        for param, grad in zip(params, clipped):
+            param.grad = grad
 
     def _decay_learning_rates(self) -> None:
         for group in self.optimizer.param_groups:
@@ -254,14 +239,16 @@ class Trainer:
 
     def train_epoch(self, train: CTRDataset, epoch: int = 0) -> float:
         """One pass over the training data; returns the mean batch loss
-        (NaN when the guard skipped every batch).
+        (NaN when the guard skipped every batch) over the updates kept
+        after the epoch's last rollback.
 
         Without a recovery policy a non-finite loss raises immediately;
         with one, poisoned batches are skipped (and counted as strikes)
         instead — see :class:`~repro.resilience.recovery.DivergenceGuard`.
         """
         self.model.train()
-        losses = []
+        losses = self._epoch_losses
+        losses.clear()
         for batch in train.iter_batches(self.batch_size, shuffle=True, rng=self.rng):
             value = self._step(batch, epoch)
             if value is None:

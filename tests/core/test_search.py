@@ -12,6 +12,9 @@ from repro.core import (
     search_bilevel,
     search_optinter,
 )
+from repro.core.search import BilevelTrainer, _build_search_model, table_iv_groups
+from repro.nn import Adam
+from repro.obs import EventBus, MemorySink
 from repro.resilience import BatchCorruptor, FaultyDataset, RecoveryPolicy
 
 
@@ -140,6 +143,51 @@ class TestDivergence:
             split = "validation"
         with pytest.raises(RuntimeError, match=f"non-finite {split} loss"):
             search_bilevel(train, val, _config())
+
+    def test_both_searches_number_steps_alike_across_rollbacks(
+            self, tiny_splits):
+        train, val, _ = tiny_splits
+        strikes = {}
+        for search in (search_optinter, search_bilevel):
+            faulty = FaultyDataset(
+                FaultyDataset(train, BatchCorruptor(at_batch=2)),
+                BatchCorruptor(at_batch=6))
+            sink = MemorySink()
+            search(faulty, val, _config(epochs=1),
+                   recovery=RecoveryPolicy(max_batch_skips=0),
+                   bus=EventBus([sink]))
+            strikes[search.__name__] = [
+                (e.payload["action"], e.payload["step"])
+                for e in sink.of_type("recovery")]
+        # Batches 0-1 apply steps 0-1; batch 2 rolls back to step 0, so
+        # batches 3-5 apply steps 0-2 and batch 6 strikes at step 3.
+        expected = [("skip", 2), ("rollback", 2), ("skip", 3),
+                    ("rollback", 3)]
+        assert strikes == {"search_optinter": expected,
+                           "search_bilevel": expected}
+
+    def test_bilevel_alpha_rollback_discards_its_theta_update(
+            self, tiny_splits):
+        # The α step of train batch 2 rolls back to the epoch start,
+        # which discards that batch's applied Θ update as well: it is
+        # not a step, and its loss leaves the epoch mean.
+        train, val, _ = tiny_splits
+        config = _config(epochs=1)
+        model = _build_search_model(train, config, np.random.default_rng(0))
+        applied = []
+        trainer = BilevelTrainer(
+            model, Adam(table_iv_groups(model, [model.cross_embedding],
+                                        config.lr, config.l2_cross)),
+            Adam(model.architecture_parameters(), lr=config.lr_arch),
+            config, FaultyDataset(val, BatchCorruptor(at_batch=2)),
+            recovery=RecoveryPolicy(max_batch_skips=0),
+            rng=np.random.default_rng(0),
+            on_step=lambda model, batch, loss: applied.append(loss))
+        history = trainer.fit(train)
+        num_batches = -(-len(train) // config.batch_size)
+        assert len(applied) == num_batches - 1
+        assert trainer._global_step == num_batches - 3
+        assert history.records[0].train_loss == float(np.mean(applied[2:]))
 
     @pytest.mark.parametrize("search", [search_optinter, search_bilevel])
     def test_epoch_with_every_batch_skipped_reports_nan(self, tiny_splits,

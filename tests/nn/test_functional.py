@@ -145,3 +145,16 @@ class TestClipByGlobalNorm:
     def test_invalid_norm(self):
         with pytest.raises(ValueError):
             F.clip_by_global_norm([np.ones(2)], max_norm=0.0)
+
+    def test_nan_gradient_scales_nothing(self):
+        # A NaN norm is not above the cap: the finite gradient must come
+        # back untouched instead of scaled by NaN.
+        finite = np.array([3.0, 4.0])
+        out = F.clip_by_global_norm([finite, np.array([np.nan])],
+                                    max_norm=1.0)
+        assert out[0].tobytes() == finite.tobytes()
+        assert np.isnan(out[1]).all()
+
+    def test_zero_norm_is_returned_unscaled(self):
+        out = F.clip_by_global_norm([np.zeros(3)], max_norm=1.0)
+        assert out[0].tobytes() == np.zeros(3).tobytes()

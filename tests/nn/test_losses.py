@@ -48,6 +48,20 @@ class TestBCEWithLogits:
         np.testing.assert_allclose(logits.grad, (probs - targets) / 5,
                                    rtol=1e-8)
 
+    def test_gradient_at_zero_logit(self):
+        # An exactly-zero logit (a dead ReLU row through LayerNorm with
+        # zero beta and bias gives one) must still get sigmoid(0) - y.
+        logits = Tensor(np.array([0.0, -0.0, 0.0, 2.0]), requires_grad=True)
+        targets = np.array([1.0, 0.0, 0.0, 1.0])
+        loss = binary_cross_entropy_with_logits(logits, targets)
+        np.testing.assert_allclose(loss.item(),
+                                   (3 * np.log(2) + np.log1p(np.exp(-2))) / 4,
+                                   rtol=1e-12)
+        loss.backward()
+        probs = 1 / (1 + np.exp(-logits.data))
+        np.testing.assert_allclose(logits.grad, (probs - targets) / 4,
+                                   rtol=1e-12)
+
     def test_reshapes_targets(self, rng):
         logits = Tensor(rng.normal(size=(4, 1)))
         targets = np.zeros(4)

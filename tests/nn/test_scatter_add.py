@@ -18,11 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.core.higher_order as higher_order_module
 import repro.core.optinter as optinter_module
+import repro.models.deep as deep_module
+import repro.models.shallow as shallow_module
+import repro.nn.functional as functional_module
 import repro.nn.sparse as sparse_module
 import repro.nn.tensor as tensor_module
 from repro.core.architecture import Architecture
+from repro.core.higher_order import HigherOrderOptInter
 from repro.core.optinter import OptInterModel
+from repro.data import SyntheticConfig, make_dataset
+from repro.models import FFM, IPNN, PIN, AutoFIS, FmFM, FwFM
+from repro.models.base import pair_index_arrays
 from repro.nn import Adam, SparseGrad, Tensor, binary_cross_entropy_with_logits
 from repro.nn.sparse import scatter_add
 from repro.nn.tensor import embedding_lookup, index_select
@@ -248,7 +256,7 @@ class TestFromRows:
 
 
 # ----------------------------------------------------------------------
-# Model level: swap the helper for the np.add.at reference and train.
+# Model level: swap the gathers for the references and train.
 # ----------------------------------------------------------------------
 def _flat_add_at(shape, bins, values):
     full = np.zeros(int(np.prod(shape)))
@@ -257,15 +265,77 @@ def _flat_add_at(shape, bins, values):
 
 
 def _getitem_pair_gather(x, indices, axis):
-    """The pair gather OptInter used before: ``emb[:, idx, :]``."""
+    """The pair gather the families used before: ``emb[:, idx, :]``."""
     return x[(slice(None),) * axis + (indices,)]
 
 
-def _train_params(dataset, batches, architecture):
-    model = OptInterModel(dataset.cardinalities, dataset.cross_cardinalities,
-                          embed_dim=4, cross_embed_dim=4, hidden_dims=(16,),
-                          architecture=architecture,
-                          rng=np.random.default_rng(5))
+def _ffm_reference_forward(self, batch):
+    """FFM's field-aware 2-D gather on the ``[n, M, M, d]`` latent."""
+    n = batch.x.shape[0]
+    first_order = self.weights(batch.x).sum(axis=(1, 2))
+    latent = self.latent(batch.x).reshape(
+        n, self.num_fields, self.num_fields, self.embed_dim)
+    idx_i, idx_j = pair_index_arrays(self.num_fields)
+    second_order = (latent[:, idx_i, idx_j, :]
+                    * latent[:, idx_j, idx_i, :]).sum(axis=(1, 2))
+    return first_order + second_order + self.bias
+
+
+def _assignment(methods, count):
+    return Architecture.from_assignment((methods * count)[:count])
+
+
+def _higher_order(dataset, rng, search):
+    pairs, triples = len(dataset.cross_cardinalities), len(dataset.triples)
+    return HigherOrderOptInter(
+        dataset.cardinalities, dataset.cross_cardinalities, dataset.triples,
+        dataset.triple_cardinalities, embed_dim=4, cross_embed_dim=4,
+        hidden_dims=(16,),
+        pair_architecture=None if search else _assignment(
+            ["factorize", "memorize", "naive"], pairs),
+        triple_architecture=None if search else _assignment(
+            ["memorize", "factorize", "naive"], triples),
+        rng=rng)
+
+
+def _optinter(dataset, rng, search):
+    pairs = len(dataset.cross_cardinalities)
+    return OptInterModel(
+        dataset.cardinalities, dataset.cross_cardinalities, embed_dim=4,
+        cross_embed_dim=4, hidden_dims=(16,),
+        architecture=None if search else _assignment(
+            ["factorize", "memorize", "naive"], pairs),
+        rng=rng)
+
+
+#: Every family whose pair gather goes through ``index_select``.
+FAMILIES = {
+    "search": lambda d, rng: _optinter(d, rng, search=True),
+    "fixed": lambda d, rng: _optinter(d, rng, search=False),
+    "higher-order-search": lambda d, rng: _higher_order(d, rng, search=True),
+    "higher-order-fixed": lambda d, rng: _higher_order(d, rng, search=False),
+    "FwFM": lambda d, rng: FwFM(d.cardinalities, 4, rng=rng),
+    "FmFM": lambda d, rng: FmFM(d.cardinalities, 4, rng=rng),
+    "IPNN": lambda d, rng: IPNN(d.cardinalities, 4, (16,), rng=rng),
+    "PIN": lambda d, rng: PIN(d.cardinalities, 4, (16,), rng=rng),
+    "AutoFIS": lambda d, rng: AutoFIS(d.cardinalities, 4, (16,), rng=rng),
+    "FFM": lambda d, rng: FFM(d.cardinalities, 4, rng=rng),
+}
+
+
+@pytest.fixture(scope="module")
+def triple_train():
+    dataset, _ = make_dataset(
+        SyntheticConfig(cardinalities=[8, 10, 6, 12, 9], n_samples=600,
+                        n_memorizable=1, n_factorizable=1,
+                        n_memorizable_triples=1, min_count=1,
+                        cross_min_count=1, seed=7),
+        with_triples=True, triple_min_count=1)
+    return dataset
+
+
+def _train_params(dataset, batches, family):
+    model = FAMILIES[family](dataset, np.random.default_rng(5))
     optimizer = Adam(list(model.parameters()), lr=0.01)
     for batch in batches:
         loss = binary_cross_entropy_with_logits(model(batch), batch.y)
@@ -275,20 +345,23 @@ def _train_params(dataset, batches, architecture):
     return {name: p.data.tobytes() for name, p in model.named_parameters()}
 
 
-@pytest.mark.parametrize("mode", ["search", "fixed"])
-def test_optinter_training_matches_add_at_reference(tiny_splits, monkeypatch,
-                                                    mode):
-    train = tiny_splits[0]
-    batches = [b for _, b in zip(range(3), train.iter_batches(64))]
-    num_pairs = len(train.cross_cardinalities)
-    architecture = None if mode == "search" else Architecture.from_assignment(
-        (["factorize", "memorize", "naive"] * num_pairs)[:num_pairs])
+@pytest.mark.invariants
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_optinter_training_matches_add_at_reference(triple_train, monkeypatch,
+                                                    family):
+    """Three Adam steps of every ported family, bit for bit against the
+    gathers they replaced: ``__getitem__`` plus an ``np.add.at`` scatter
+    (and FFM's 2-D gather on the 4-D latent)."""
+    batches = [b for _, b in zip(range(3), triple_train.iter_batches(64))]
 
-    fast = _train_params(train, batches, architecture)
+    fast = _train_params(triple_train, batches, family)
     monkeypatch.setattr(tensor_module, "scatter_add", _flat_add_at)
     monkeypatch.setattr(sparse_module, "scatter_add", _flat_add_at)
-    monkeypatch.setattr(optinter_module, "index_select", _getitem_pair_gather)
-    reference = _train_params(train, batches, architecture)
+    for module in (functional_module, shallow_module, deep_module,
+                   higher_order_module, optinter_module):
+        monkeypatch.setattr(module, "index_select", _getitem_pair_gather)
+    monkeypatch.setattr(FFM, "forward", _ffm_reference_forward)
+    reference = _train_params(triple_train, batches, family)
 
     assert fast.keys() == reference.keys()
     for name in fast:

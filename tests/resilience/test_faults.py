@@ -229,6 +229,19 @@ class TestNaNRecovery:
         with pytest.raises(RuntimeError, match="non-finite training loss"):
             trainer.fit(faulty, val)
 
+    def test_rollback_drops_the_discarded_losses(self, tiny_splits):
+        # Batch 2 rolls back to the epoch start, discarding the updates
+        # of batches 0-1: the epoch's loss averages only what it kept.
+        train, val, _ = tiny_splits
+        faulty = FaultyDataset(train, BatchCorruptor(at_batch=2))
+        applied = []
+        _, _, trainer = _trainer(
+            train, max_epochs=1, recovery=RecoveryPolicy(max_batch_skips=0),
+            on_step=lambda model, batch, loss: applied.append(loss))
+        history = trainer.fit(faulty, val)
+        assert len(applied) > 3
+        assert history.records[0].train_loss == float(np.mean(applied[2:]))
+
     def test_sustained_poison_rolls_back_then_converges(self, tiny_splits):
         train, val, _ = tiny_splits
 

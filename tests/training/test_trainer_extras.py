@@ -5,6 +5,7 @@ import pytest
 
 from repro.models import FNN, LogisticRegression
 from repro.nn import Adam, SGD
+from repro.resilience.faults import GradientPoison
 from repro.training import Trainer
 
 
@@ -36,6 +37,20 @@ class TestGradClipping:
                           grad_clip_norm=1e9)
         history = trainer.fit(train)  # must simply not crash
         assert len(history) == 1
+
+    def test_nan_gradient_stays_in_its_parameter(self, tiny_splits, rng):
+        # Unguarded, a poisoned gradient is applied; clipping must not
+        # spread its NaN norm to every other parameter.
+        train, _, _ = tiny_splits
+        model = LogisticRegression(train.cardinalities, rng=rng)
+        trainer = Trainer(model, SGD(model.parameters(), lr=0.1),
+                          batch_size=len(train), max_epochs=1, rng=rng,
+                          grad_clip_norm=1e-4,
+                          on_backward=GradientPoison(at_step=0,
+                                                     param_name="bias"))
+        trainer.fit(train)
+        assert np.isnan(model.bias.data).all()
+        assert np.isfinite(model.weights.table.weight.data).all()
 
     def test_invalid_threshold(self, tiny_splits, rng):
         train, _, _ = tiny_splits
