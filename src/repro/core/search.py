@@ -151,8 +151,6 @@ class SearchTrainer(Trainer):
 
     #: Leads the run span's attributes, the α snapshots and the strikes.
     stage = "search"
-    #: The run span reports the applied step count as ``steps``.
-    report_steps = True
 
     def __init__(self, model: Module, optimizer: Optimizer,
                  config: SearchConfig,
@@ -169,8 +167,7 @@ class SearchTrainer(Trainer):
         with self.tracer.span("search.run", stage=self.stage,
                               epochs=self.max_epochs) as run_span:
             self._fit(train, val, history, start_epoch, run_span)
-            if self.report_steps:
-                run_span.set_attr("steps", self._global_step)
+            run_span.set_attr("steps", self._global_step)
         return history
 
     @contextmanager
@@ -225,11 +222,10 @@ class BilevelTrainer(SearchTrainer):
 
     One guard covers both levels and both optimizers.  As in
     :class:`Trainer`, only applied Θ updates count as steps and a
-    rollback rewinds the count; the run span reports no ``steps``.
+    rollback rewinds the count, which the run span reports as ``steps``.
     """
 
     stage = "bilevel"
-    report_steps = False
 
     def __init__(self, model: OptInterModel, theta_optimizer: Optimizer,
                  alpha_optimizer: Optimizer, config: SearchConfig,

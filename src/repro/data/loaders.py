@@ -123,8 +123,11 @@ def _parse_floats(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     (literal or parsed, e.g. ``"nan"``) and the empty string all count
     as missing.  Unparseable text raises ``ValueError`` — the streaming
     ingest path turns that into a typed
-    :class:`~repro.data.errors.BadNumericError` per row.
+    :class:`~repro.data.errors.BadNumericError` per row.  A float64
+    column (what ingest validation produces) is returned as is.
     """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return values, np.isnan(values)
     out = np.empty(len(values), dtype=np.float64)
     missing = np.zeros(len(values), dtype=bool)
     for i, value in enumerate(values):
@@ -239,8 +242,7 @@ class CTRPipeline:
             values = columns[name]
             if name in self.continuous:
                 floats, missing = _parse_floats(values)
-                if missing.any():
-                    floats[missing] = self._fill_values[name]
+                floats = np.where(missing, self._fill_values[name], floats)
                 values = self._bucketizers[name].transform(floats)
             x[:, col_idx] = self._vocabularies[name].transform(values)
         return x

@@ -183,8 +183,11 @@ class TestEventStreamPinned:
         assert _event_shape(sink) == [
             *_search_epoch(), *_search_epoch(),
             ("span", "search.run", None,
-             _SPAN + ["attrs", "attrs.stage", "attrs.epochs"]),
+             _SPAN + ["attrs", "attrs.stage", "attrs.epochs", "attrs.steps"]),
         ]
+        # Every Θ update applied: two epochs of ceil(n / 128) batches.
+        assert sink.events[-1].payload["attrs"]["steps"] == \
+            2 * -(-len(train) // 128)
 
     def test_validated_trainer_fit(self, tiny_splits):
         train, val, _ = tiny_splits

@@ -47,6 +47,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="on_error"):
             base_config(on_error="explode")
 
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        # Validation splits lines on it exactly as the csv module does.
+        with pytest.raises(ValueError, match="delimiter"):
+            base_config(delimiter=delimiter)
+
     def test_headerless_requires_columns(self):
         with pytest.raises(ValueError, match="column_names"):
             base_config(header=False)
