@@ -1,9 +1,9 @@
 """``repro.core`` — the OptInter framework (the paper's contribution).
 
 Architecture representation, the Gumbel-softmax combination block, the
-OptInter model (search / fixed modes, plus the OptInter-M / OptInter-F
-instances), the search algorithms (joint, bi-level, random) and the
-re-train stage.
+OptInter model (search / fixed modes over pairs and, optionally, field
+triples, plus the OptInter-M / OptInter-F instances), the search
+algorithms (joint, bi-level, random) and the re-train stage.
 """
 
 from .architecture import Architecture, Method, METHOD_ORDER
@@ -15,13 +15,6 @@ from .search import (
     random_architecture,
     search_bilevel,
     search_optinter,
-)
-from .higher_order import (
-    HigherOrderOptInter,
-    HigherOrderResult,
-    retrain_higher_order,
-    run_higher_order,
-    search_higher_order,
 )
 from .retrain import (
     OptInterResult,
@@ -51,9 +44,4 @@ __all__ = [
     "build_fixed_model",
     "retrain",
     "run_optinter",
-    "HigherOrderOptInter",
-    "HigherOrderResult",
-    "search_higher_order",
-    "retrain_higher_order",
-    "run_higher_order",
 ]

@@ -15,17 +15,21 @@ block) → deep classifier.  The model runs in one of two modes:
 
 ``OptInter-M`` / ``OptInter-F`` / plain FNN are the all-memorize /
 all-factorize / all-naïve fixed architectures (paper §III-A3).
+
+Interaction order is a property of the data: given field triples (and
+the dataset's ``x_triple``), the model searches or fixes them exactly as
+it does pairs, as a second group with its own α (paper §II-B1).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..data.dataset import Batch
 from ..nn.layers import MLP
-from ..nn.module import Module, Parameter
+from ..nn.module import Parameter
 from ..nn.tensor import Tensor, concatenate, index_select
 from ..models.base import (
     CrossEmbedding,
@@ -44,8 +48,44 @@ from .combination import CombinationBlock
 FACTORIZATIONS = ("hadamard", "inner", "add", "generalized")
 
 
+class _Group:
+    """One interaction order: its field tuples, the method assigned to
+    each (``architecture``, ``None`` while searching) and the modules
+    that realise them.  ``ids`` names the :class:`Batch` attribute that
+    holds the group's cross ids."""
+
+    def __init__(self, fields: Sequence[np.ndarray],
+                 architecture: Optional[Architecture], ids: str) -> None:
+        self.fields = fields  # one field-index array per tuple position
+        self.size = len(fields[0])
+        self.architecture = architecture
+        self.ids = ids
+        if architecture is None:
+            self.mem: List[int] = list(range(self.size))
+            self.fac: List[int] = list(range(self.size))
+        else:
+            self.mem = architecture.pairs_with(Method.MEMORIZE)
+            self.fac = architecture.pairs_with(Method.FACTORIZE)
+        self.cross: Optional[CrossEmbedding] = None
+        self.combination: Optional[CombinationBlock] = None
+        self.kernel: Optional[Parameter] = None
+
+
 class OptInterModel(CTRModel):
-    """OptInter CTR model, switchable between search and fixed mode."""
+    """OptInter CTR model, switchable between search and fixed mode.
+
+    The pairs are always modelled.  ``triples`` (field-index triples, as
+    ``make_dataset(..., with_triples=True)`` lists them), their cross
+    vocabulary sizes and ``triple_architecture`` add a second group of
+    interactions with the same three candidates (paper §II-B1's
+    higher-order extension): a memorized embedding over the triple's
+    cross ids (``batch.x_triple``), the factorization chained over its
+    three field embeddings, or the naïve zero vector.  Both groups are
+    in the same mode, and each has its own α in search mode.  The pairs'
+    modules are ``cross_embedding`` / ``combination`` /
+    ``generalized_kernel``, the triples' ``triple_cross`` /
+    ``triple_combination`` / ``triple_generalized_kernel``.
+    """
 
     needs_cross = True
 
@@ -62,6 +102,9 @@ class OptInterModel(CTRModel):
         factorization: str = "hadamard",
         rng: Optional[np.random.Generator] = None,
         dense_grad: bool = False,
+        triples: Optional[Sequence[Tuple[int, int, int]]] = None,
+        triple_cardinalities: Optional[Sequence[int]] = None,
+        triple_architecture: Optional[Architecture] = None,
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng()
@@ -78,103 +121,120 @@ class OptInterModel(CTRModel):
                 f"expected {num_pairs} cross cardinalities, "
                 f"got {len(cross_cardinalities)}"
             )
-        if architecture is not None and architecture.num_pairs != num_pairs:
-            raise ValueError(
-                f"architecture covers {architecture.num_pairs} pairs, "
-                f"model has {num_pairs}"
-            )
+        self._groups = [_Group((self._idx_i, self._idx_j), architecture,
+                               "x_cross")]
+        self.triples = [tuple(t) for t in triples or ()]
+        if self.triples:
+            if (architecture is None) != (triple_architecture is None):
+                raise ValueError(
+                    "pair and triple architectures must both be given "
+                    "(fixed mode) or both be None (search mode)")
+            if len(triple_cardinalities or ()) != len(self.triples):
+                raise ValueError("one triple cardinality per triple required")
+            self._groups.append(_Group(
+                np.array(self.triples, dtype=np.int64).T,
+                triple_architecture, "x_triple"))
+        elif triple_architecture is not None:
+            raise ValueError("triple_architecture given without triples")
+        for group in self._groups:
+            if (group.architecture is not None
+                    and group.architecture.num_pairs != group.size):
+                raise ValueError(
+                    f"architecture covers {group.architecture.num_pairs} "
+                    f"interactions, model has {group.size}"
+                )
 
         self.embed_dim = embed_dim
         self.cross_embed_dim = cross_embed_dim
         self.factorization = factorization
         self.architecture = architecture
+        self.triple_architecture = triple_architecture
         self.num_pairs = num_pairs
         self.embedding = FieldEmbedding(cardinalities, embed_dim, rng=rng,
                                         dense_grad=dense_grad)
         self._fac_dim = 1 if factorization == "inner" else embed_dim
+        # Search mode mixes all candidates at a common width.
+        self._pad_dim = max(self._fac_dim, cross_embed_dim)
+
+        # Draw order: every group's memorized table, then the MLP.
+        for group, cards in zip(self._groups, (cross_cardinalities,
+                                               triple_cardinalities)):
+            if group.architecture is None or group.mem:
+                group.cross = CrossEmbedding(cards, cross_embed_dim,
+                                             pair_subset=group.mem, rng=rng,
+                                             dense_grad=dense_grad)
+            if group.architecture is None:
+                group.combination = CombinationBlock(
+                    group.size, temperature=temperature, rng=rng)
+            if factorization == "generalized" and group.fac:
+                # One learnable elementwise kernel per factorized
+                # interaction; starts at ones, a plain Hadamard product.
+                group.kernel = Parameter(
+                    np.ones((len(group.fac), embed_dim)),
+                    name="generalized_kernel")
+        pairs = self._groups[0]
+        triple = self._groups[1] if self.triples else None
+        self.cross_embedding = pairs.cross
+        self.triple_cross = triple.cross if triple else None
+        self.combination = pairs.combination
+        self.triple_combination = triple.combination if triple else None
+        self.generalized_kernel = pairs.kernel
+        self.triple_generalized_kernel = triple.kernel if triple else None
 
         if architecture is None:
-            # Search mode: all candidates alive, mixed at a common width.
-            self.cross_embedding = CrossEmbedding(cross_cardinalities,
-                                                  cross_embed_dim, rng=rng,
-                                                  dense_grad=dense_grad)
-            self.combination = CombinationBlock(num_pairs,
-                                                temperature=temperature,
-                                                rng=rng)
-            self._pad_dim = max(self._fac_dim, cross_embed_dim)
-            interaction_dim = num_pairs * self._pad_dim
-            self._mem_pairs: List[int] = list(range(num_pairs))
-            self._fac_pairs: List[int] = list(range(num_pairs))
+            interaction_dim = sum(g.size for g in self._groups) * self._pad_dim
         else:
-            self.combination = None
-            self._mem_pairs = architecture.pairs_with(Method.MEMORIZE)
-            self._fac_pairs = architecture.pairs_with(Method.FACTORIZE)
-            self.cross_embedding = (
-                CrossEmbedding(cross_cardinalities, cross_embed_dim,
-                               pair_subset=self._mem_pairs, rng=rng,
-                               dense_grad=dense_grad)
-                if self._mem_pairs else None
-            )
-            interaction_dim = (len(self._mem_pairs) * cross_embed_dim
-                               + len(self._fac_pairs) * self._fac_dim)
-
-        if factorization == "generalized":
-            # One learnable elementwise kernel per factorized pair; starts
-            # at ones so it begins as a plain Hadamard product.
-            self.generalized_kernel = Parameter(
-                np.ones((len(self._fac_pairs), embed_dim)),
-                name="generalized_kernel",
-            ) if self._fac_pairs else None
-        else:
-            self.generalized_kernel = None
-
+            interaction_dim = sum(len(g.mem) * cross_embed_dim
+                                  + len(g.fac) * self._fac_dim
+                                  for g in self._groups)
         self.mlp = MLP(num_fields * embed_dim + interaction_dim, hidden_dims,
                        layer_norm=layer_norm, rng=rng)
 
     # ------------------------------------------------------------------
     # Candidate embeddings
     # ------------------------------------------------------------------
-    def _factorized_embeddings(self, emb: Tensor,
-                               pair_subset: Sequence[int]) -> Tensor:
-        """Factorized candidate e^f per pair (Eq. 14 and its variants)."""
-        idx_i = self._idx_i[np.asarray(pair_subset, dtype=np.int64)]
-        idx_j = self._idx_j[np.asarray(pair_subset, dtype=np.int64)]
+    def _factorized(self, emb: Tensor, group: _Group) -> Tensor:
+        """Factorized candidate e^f of each of ``group.fac`` (Eq. 14 and
+        its variants), chained over the tuple's field embeddings."""
+        idx = np.asarray(group.fac, dtype=np.int64)
         # ``index_select`` (np.take) returns C order with no extra copy,
         # and its backward is one scatter-add over field positions.
-        e_i = index_select(emb, idx_i, axis=1)
-        e_j = index_select(emb, idx_j, axis=1)
-        if self.factorization == "add":
-            return e_i + e_j
-        product = e_i * e_j
+        product = index_select(emb, group.fields[0][idx], axis=1)
+        for fields in group.fields[1:]:
+            e = index_select(emb, fields[idx], axis=1)
+            product = (product + e if self.factorization == "add"
+                       else product * e)
         if self.factorization == "inner":
             return product.sum(axis=-1, keepdims=True)
         if self.factorization == "generalized":
-            # pair_subset always equals self._fac_pairs (both modes), so
-            # the kernel rows line up with the product's pair axis.
-            return product * self.generalized_kernel
+            # The kernel rows line up with group.fac (both modes).
+            return product * group.kernel
         return product
 
     # ------------------------------------------------------------------
     def forward(self, batch: Batch) -> Tensor:
         self._check_batch(batch)
+        if self.triples and batch.x_triple is None:
+            raise ValueError(
+                "OptInterModel over triples needs x_triple; build the "
+                "dataset with make_dataset(..., with_triples=True)"
+            )
         emb = self.embedding(batch.x)  # [n, M, s1]
         n = emb.shape[0]
         parts: List[Tensor] = [flatten_embeddings(emb)]
-
-        if self.architecture is None:
-            e_mem = self.cross_embedding(batch.x_cross)  # [n, P, s2]
-            e_fac = self._factorized_embeddings(emb, self._fac_pairs)
-            combined = self.combination.combine(e_mem, e_fac)
-            parts.append(combined.reshape(n, self.num_pairs * self._pad_dim))
-        else:
-            if self._mem_pairs:
-                e_mem = self.cross_embedding(batch.x_cross)
-                parts.append(e_mem.reshape(
-                    n, len(self._mem_pairs) * self.cross_embed_dim))
-            if self._fac_pairs:
-                e_fac = self._factorized_embeddings(emb, self._fac_pairs)
-                parts.append(e_fac.reshape(
-                    n, len(self._fac_pairs) * self._fac_dim))
+        for group in self._groups:
+            ids = getattr(batch, group.ids)
+            if group.combination is not None:
+                combined = group.combination.combine(
+                    group.cross(ids), self._factorized(emb, group))
+                parts.append(combined.reshape(n, group.size * self._pad_dim))
+                continue
+            if group.mem:
+                parts.append(group.cross(ids).reshape(
+                    n, len(group.mem) * self.cross_embed_dim))
+            if group.fac:
+                parts.append(self._factorized(emb, group).reshape(
+                    n, len(group.fac) * self._fac_dim))
 
         features = parts[0] if len(parts) == 1 else concatenate(parts, axis=1)
         return self.mlp(features).reshape(n)
@@ -186,22 +246,40 @@ class OptInterModel(CTRModel):
     def is_search_mode(self) -> bool:
         return self.architecture is None
 
-    def derive_architecture(self) -> Architecture:
-        """Hard decode the searched architecture (search mode only)."""
+    def derive_architectures(self
+                             ) -> Tuple[Architecture, Optional[Architecture]]:
+        """Hard decode the searched pair and triple architectures (search
+        mode only); the triple one is ``None`` without triples."""
         if self.combination is None:
             raise RuntimeError("model is in fixed mode; nothing to derive")
-        return self.combination.derive_architecture()
+        triple = self.triple_combination
+        return (self.combination.derive_architecture(),
+                None if triple is None else triple.derive_architecture())
+
+    def derive_architecture(self) -> Architecture:
+        """Hard decode the searched pair architecture (search mode only)."""
+        return self.derive_architectures()[0]
 
     def architecture_parameters(self) -> List:
-        """The α parameters (empty list in fixed mode)."""
-        if self.combination is None:
-            return []
-        return [self.combination.alpha]
+        """The α parameters, pairs first (empty list in fixed mode)."""
+        return [g.combination.alpha for g in self._groups
+                if g.combination is not None]
+
+    def cross_parameters(self) -> List:
+        """The memorized embedding tables, pairs first (l2_c applies)."""
+        return [g.cross.table.weight for g in self._groups
+                if g.cross is not None]
 
     def network_parameters(self) -> List:
         """All parameters except α (Θ in the paper's notation)."""
         alpha_ids = {id(p) for p in self.architecture_parameters()}
         return [p for p in self.parameters() if id(p) not in alpha_ids]
+
+    def set_temperature(self, temperature: float) -> None:
+        """Anneal every group's Gumbel-softmax temperature."""
+        for group in self._groups:
+            if group.combination is not None:
+                group.combination.set_temperature(temperature)
 
 
 # ----------------------------------------------------------------------

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..data.dataset import Batch, CTRDataset
 from ..fsutil import PathLike
 from ..nn.losses import binary_cross_entropy_with_logits
-from ..nn.module import Module
 from ..nn.optim import Adam, Optimizer
 from ..obs.events import EventBus
 from ..obs.tracing import Tracer
@@ -73,18 +72,21 @@ class SearchConfig:
 
 @dataclass
 class SearchResult:
-    """Outcome of a search stage."""
+    """Outcome of a search stage; ``triple_architecture`` is ``None``
+    unless the training data carried triples."""
 
     architecture: Architecture
     alpha: np.ndarray
     history: History
     model: OptInterModel
+    triple_architecture: Optional[Architecture] = None
 
     @classmethod
     def of(cls, model: OptInterModel, history: History) -> "SearchResult":
-        """The searched model with its argmax decode and final α."""
-        return cls(model.derive_architecture(),
-                   model.combination.alpha.data.copy(), history, model)
+        """The searched model with its argmax decodes and final pair α."""
+        architecture, triple_architecture = model.derive_architectures()
+        return cls(architecture, model.combination.alpha.data.copy(),
+                   history, model, triple_architecture)
 
 
 def _annealed_temperature(config: SearchConfig, epoch: int) -> float:
@@ -97,8 +99,11 @@ def _annealed_temperature(config: SearchConfig, epoch: int) -> float:
 
 def _build_search_model(train: CTRDataset, config: SearchConfig,
                         rng: np.random.Generator) -> OptInterModel:
+    """The search-mode model; it searches triples too when ``train``
+    carries them."""
     if train.x_cross is None:
         raise ValueError("search requires cross-product features on the dataset")
+    triples = train.triples if train.x_triple is not None else None
     return OptInterModel(
         cardinalities=train.cardinalities,
         cross_cardinalities=train.cross_cardinalities,
@@ -109,21 +114,22 @@ def _build_search_model(train: CTRDataset, config: SearchConfig,
         temperature=config.temperature_start,
         factorization=config.factorization,
         rng=rng,
+        triples=triples,
+        triple_cardinalities=train.triple_cardinalities,
     )
 
 
-def table_iv_groups(model: Module, cross_embeddings: Sequence,
-                    lr: float, l2_cross: float,
+def table_iv_groups(model: OptInterModel, lr: float, l2_cross: float,
                     lr_arch: Optional[float] = None) -> List[Dict]:
     """Adam groups mirroring Table IV: the network at ``lr`` (lr_o / lr_c),
-    the cross-product embedding tables (``None`` entries skipped) with
-    their own L2 penalty (l2_c), and α at ``lr_arch`` (lr_a).
+    every group's memorized embedding table with its own L2 penalty
+    (l2_c), and every group's α at ``lr_arch`` (lr_a).
 
     Without ``lr_arch`` α is left out (the bi-level search steps it with
     its own optimizer).  Group and parameter order are part of the Adam
     state and checkpoint layout.
     """
-    cross_params = [e.table.weight for e in cross_embeddings if e is not None]
+    cross_params = model.cross_parameters()
     alpha = model.architecture_parameters()
     skip = {id(p) for p in cross_params + alpha}
     groups = [{"params": [p for p in model.parameters() if id(p) not in skip],
@@ -139,9 +145,9 @@ def table_iv_groups(model: Module, cross_embeddings: Sequence,
 class SearchTrainer(Trainer):
     """A search stage as a :class:`Trainer` configuration (Alg. 1).
 
-    Every epoch first anneals the Gumbel-softmax temperature through
-    ``set_temperature`` (the ``search.epoch`` span carries it).  After
-    the validation pass a ``search.alpha_update`` span publishes the
+    Every epoch first anneals the model's Gumbel-softmax temperature
+    (the ``search.epoch`` span carries it).  After the validation pass
+    a ``search.alpha_update`` span publishes the pair α's
     ``search_alpha`` snapshot and the ``epoch_end`` event, both led by
     ``stage``.  There is no early stopping and no best-state restore,
     so checkpoints hold empty ``extras`` and no ``best_state``.  The run
@@ -152,13 +158,11 @@ class SearchTrainer(Trainer):
     #: Leads the run span's attributes, the α snapshots and the strikes.
     stage = "search"
 
-    def __init__(self, model: Module, optimizer: Optimizer,
-                 config: SearchConfig,
-                 set_temperature: Callable[[float], None], **kwargs) -> None:
+    def __init__(self, model: OptInterModel, optimizer: Optimizer,
+                 config: SearchConfig, **kwargs) -> None:
         super().__init__(model, optimizer, batch_size=config.batch_size,
                          max_epochs=config.epochs, **kwargs)
         self.config = config
-        self.set_temperature = set_temperature
         self.strike_labels = {"stage": self.stage}
 
     def fit(self, train: CTRDataset,
@@ -173,7 +177,7 @@ class SearchTrainer(Trainer):
     @contextmanager
     def _epoch(self, run_span, epoch: int) -> Iterator[EpochRecord]:
         temperature = _annealed_temperature(self.config, epoch)
-        self.set_temperature(temperature)
+        self.model.set_temperature(temperature)
         record = EpochRecord(epoch=epoch, train_loss=float("nan"))
         with self.tracer.span("search.epoch", parent=run_span, epoch=epoch,
                               temperature=temperature) as epoch_span:
@@ -231,8 +235,7 @@ class BilevelTrainer(SearchTrainer):
                  alpha_optimizer: Optimizer, config: SearchConfig,
                  val: CTRDataset, recovery: Optional[RecoveryPolicy] = None,
                  **kwargs) -> None:
-        super().__init__(model, theta_optimizer, config,
-                         model.combination.set_temperature, **kwargs)
+        super().__init__(model, theta_optimizer, config, **kwargs)
         self.alpha_optimizer = alpha_optimizer
         self._val_batches = self._endless(val)
         if recovery is not None:
@@ -278,6 +281,10 @@ def search_optinter(train: CTRDataset, val: Optional[CTRDataset],
                     tracer: Optional[Tracer] = None) -> SearchResult:
     """Algorithm 1: joint gradient descent on (Θ, α) over training batches.
 
+    When ``train`` carries third-order crosses (``x_triple``) the field
+    triples are searched alongside the pairs, one α per order, and the
+    result's ``triple_architecture`` holds their decode.
+
     ``bus`` receives one ``search_alpha`` + ``epoch_end`` event pair per
     epoch; the final ``search_alpha`` event's argmax equals the returned
     :class:`SearchResult` architecture.
@@ -292,11 +299,9 @@ def search_optinter(train: CTRDataset, val: Optional[CTRDataset],
     """
     rng = np.random.default_rng(config.seed)
     model = _build_search_model(train, config, rng)
-    optimizer = Adam(table_iv_groups(model, [model.cross_embedding],
-                                     config.lr, config.l2_cross,
+    optimizer = Adam(table_iv_groups(model, config.lr, config.l2_cross,
                                      config.lr_arch))
-    trainer = SearchTrainer(model, optimizer, config,
-                            model.combination.set_temperature, rng=rng,
+    trainer = SearchTrainer(model, optimizer, config, rng=rng,
                             verbose=config.verbose, bus=bus,
                             recovery=recovery, checkpoint_dir=checkpoint_dir,
                             keep_last=keep_last, resume=resume,
@@ -321,8 +326,7 @@ def search_bilevel(train: CTRDataset, val: CTRDataset,
         raise ValueError("bi-level search needs a non-empty validation set")
     rng = np.random.default_rng(config.seed)
     model = _build_search_model(train, config, rng)
-    theta_opt = Adam(table_iv_groups(model, [model.cross_embedding],
-                                     config.lr, config.l2_cross))
+    theta_opt = Adam(table_iv_groups(model, config.lr, config.l2_cross))
     alpha_opt = Adam(model.architecture_parameters(), lr=config.lr_arch)
     trainer = BilevelTrainer(model, theta_opt, alpha_opt, config, val,
                              recovery=recovery, rng=rng,

@@ -11,7 +11,6 @@ from .schema import FieldSpec, Schema, make_schema
 from .vocabulary import OOV_ID, FieldVocabularies, Vocabulary
 from .preprocessing import MinMaxNormalizer, QuantileBucketizer
 from .cross import CrossProductTransform, HashedCrossTransform
-from .higher_order import TupleCrossTransform, default_tuples
 from .dataset import Batch, CTRDataset
 from .temporal import last_period_split, temporal_split
 from .multivalent import (
@@ -76,8 +75,6 @@ __all__ = [
     "QuantileBucketizer",
     "CrossProductTransform",
     "HashedCrossTransform",
-    "TupleCrossTransform",
-    "default_tuples",
     "Batch",
     "CTRDataset",
     "CTRPipeline",

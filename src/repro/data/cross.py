@@ -21,10 +21,17 @@ the kept keys of all pairs into one sorted array; a transform computes the
 pair-major ``[P, n]`` keys and makes one ``np.searchsorted`` over it.  A
 hit can only land in its own pair's segment, and the id is the position
 within that segment plus one.
+
+The same holds for field tuples of any order (paper §II-B1's
+higher-order extension): a triple ``(i, j, k)`` keys its values
+mixed-radix, ``(x_i * card_j + x_j) * card_k + x_k``, and owns a range
+of ``card_i * card_j * card_k`` keys.  Ids are positions in sorted key
+order, which is the lexicographic order of the value tuples.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,60 +50,83 @@ _BLOCK_ROWS = 1024
 _SENTINEL = np.iinfo(np.int64).max
 
 
-def _pair_keys(x: np.ndarray, i: int, j: int, card_j: int) -> np.ndarray:
-    """Encode value pairs as single integers: key = x_i * card_j + x_j."""
-    return x[:, i].astype(np.int64) * np.int64(card_j) + x[:, j].astype(np.int64)
+def _tuple_keys(x: np.ndarray, fields: Sequence[int],
+                field_cards: Sequence[int]) -> np.ndarray:
+    """Encode value tuples as single integers, mixed-radix over the
+    fields' cardinalities: a pair keys ``x_i * card_j + x_j``."""
+    keys = x[:, fields[0]].astype(np.int64)
+    for field in fields[1:]:
+        keys = keys * np.int64(field_cards[field]) + x[:, field].astype(np.int64)
+    return keys
 
 
 class PairKeys:
-    """Pair-major ``[P, n]`` keys ``x_i * card_j + x_j + base[p]``: pair
-    ``p`` owns the range ``[base[p], base[p] + card_i * card_j)``."""
+    """Tuple-major ``[P, n]`` mixed-radix keys plus ``base[p]``: field
+    tuple ``p`` owns the range ``[base[p], base[p] + prod of its cards)``;
+    a pair keys ``x_i * card_j + x_j + base[p]``.  Tuples share one
+    order."""
 
-    def __init__(self, pairs: Sequence[Tuple[int, int]],
+    def __init__(self, pairs: Sequence[Tuple[int, ...]],
                  field_cards: Sequence[int]) -> None:
         bases, total = [], 0
-        for i, j in pairs:
+        for fields in pairs:
             bases.append(total)
-            total += int(field_cards[i]) * int(field_cards[j])
+            total += prod(int(field_cards[f]) for f in fields)
         if total >= 2 ** 63:
             raise ValueError(f"cross keys need {total} values over all "
-                             f"pairs, more than int64 holds")
+                             f"field tuples, more than int64 holds")
         self.bases = np.array(bases, dtype=np.int64)
-        self._left, self._right = np.array(
-            pairs, dtype=np.intp).reshape(-1, 2).T
-        self._right_cards = np.array(
-            field_cards, dtype=np.int64)[self._right, None]
+        order = len(pairs[0]) if pairs else 2
+        # Row r: the r-th field of every tuple; then the radix of each
+        # later position, shaped [order - 1, P, 1] to scale [P, n] keys.
+        self._fields = np.array(pairs, dtype=np.intp).reshape(-1, order).T
+        self._cards = np.array(field_cards,
+                               dtype=np.int64)[self._fields[1:], None]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         columns = x.T.astype(np.int64, order="C")
-        keys = columns[self._left]
-        keys *= self._right_cards
-        keys += columns[self._right]
+        keys = columns[self._fields[0]]
+        for fields, cards in zip(self._fields[1:], self._cards):
+            keys *= cards
+            keys += columns[fields]
         keys += self.bases[:, None]
         return keys
 
     def split(self, keys: np.ndarray) -> List[np.ndarray]:
-        """Per pair, its segment of the sorted ``keys`` without ``base``."""
+        """Per tuple, its segment of the sorted ``keys`` without ``base``."""
         segments = np.split(keys, np.searchsorted(keys, self.bases[1:]))
         return [segment - base for segment, base in zip(segments, self.bases)]
 
 
 class CrossProductTransform:
-    """Exact cross-product vocabulary for all second-order interactions."""
+    """Exact cross-product vocabulary over field tuples: every pair of
+    the schema by default, or the given ``tuples`` of one order (e.g.
+    ``schema.pairs(3)`` for the third-order crosses)."""
 
-    def __init__(self, schema: Schema, min_count: int = 1) -> None:
+    def __init__(self, schema: Schema, min_count: int = 1,
+                 tuples: Optional[Sequence[Tuple[int, ...]]] = None) -> None:
         if min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {min_count}")
         self.schema = schema
         self.min_count = min_count
-        self.pairs: List[Tuple[int, int]] = schema.pairs()
+        self.pairs: List[Tuple[int, ...]] = (
+            schema.pairs() if tuples is None
+            else [tuple(int(f) for f in t) for t in tuples])
+        for t in self.pairs:
+            if (len(t) < 2 or list(t) != sorted(set(t)) or t[0] < 0
+                    or t[-1] >= schema.num_fields):
+                raise ValueError(f"field tuple {t} must list two or more "
+                                 f"distinct schema fields in ascending order")
+        if len({len(t) for t in self.pairs}) > 1:
+            raise ValueError("field tuples must all have the same order")
         self._field_cards: Optional[List[int]] = None
         self._fitted = False
 
     def fit(self, x: np.ndarray, cardinalities: Optional[Sequence[int]] = None
             ) -> "CrossProductTransform":
-        """Build per-pair vocabularies from the training id matrix ``x``:
-        the one-chunk case of :meth:`fit_sketch`."""
+        """Build per-tuple vocabularies from the training id matrix ``x``
+        (ids in ``[0, cardinality)``, the schema's by default): the
+        one-chunk case of :meth:`fit_sketch`."""
         from .sketches import CrossSketch  # sketches builds on this module
 
         x = np.asarray(x)
@@ -121,7 +151,7 @@ class CrossProductTransform:
         :class:`~repro.data.sketches.CrossSketch` — one chunk or many —
         into one sorted array of offset keys."""
         if sketch.pairs != self.pairs:
-            raise ValueError("schema pair layout does not match the sketch")
+            raise ValueError("field tuple layout does not match the sketch")
         self._field_cards = list(sketch.field_cards)
         self._pair_keys = sketch.pair_keys
         self._keys = np.append(sketch.kept(self.min_count), _SENTINEL)
@@ -131,12 +161,13 @@ class CrossProductTransform:
 
     @property
     def _kept_keys(self) -> List[np.ndarray]:
-        """Per pair, its sorted kept keys ``x_i * card_j + x_j``."""
+        """Per tuple, its sorted kept keys (``x_i * card_j + x_j`` for a
+        pair)."""
         return self._pair_keys.split(self._keys[:-1])
 
     def transform(self, x: np.ndarray, *,
                   assume_valid: bool = False) -> np.ndarray:
-        """Map an id matrix to cross ids, shape ``[n, num_pairs]``.
+        """Map an id matrix to cross ids, shape ``[n, len(pairs)]``.
 
         ``assume_valid=True`` skips the per-column id-range scan — the
         fast path for callers that already guarantee every id lies in
@@ -150,9 +181,9 @@ class CrossProductTransform:
             raise ValueError(
                 f"expected [n, {self.schema.num_fields}] id matrix, got {x.shape}"
             )
-        # Ids outside the fit-time cardinality would alias another pair's
-        # key (key = x_i * card_j + x_j is only injective on the fitted
-        # ranges), silently mapping to a *wrong* cross id — reject them.
+        # Ids outside the fit-time cardinality would alias another
+        # tuple's key (the mixed-radix key is only injective on the
+        # fitted ranges), silently mapping to a *wrong* cross id.
         if not assume_valid:
             for col, card in enumerate(self._field_cards):
                 column = x[:, col]
@@ -176,7 +207,7 @@ class CrossProductTransform:
 
     @property
     def cardinalities(self) -> List[int]:
-        """Cross vocabulary size per pair (incl. the OOV slot)."""
+        """Cross vocabulary size per tuple (incl. the OOV slot)."""
         if not self._fitted:
             raise RuntimeError("cardinalities requested before fit")
         sizes = np.diff(self._starts, append=self._keys.size - 1)
@@ -221,8 +252,8 @@ class HashedCrossTransform:
             raise RuntimeError("transform called before fit")
         x = np.asarray(x)
         out = np.empty((x.shape[0], len(self.pairs)), dtype=np.int64)
-        for pair_idx, (i, j) in enumerate(self.pairs):
-            keys = _pair_keys(x, i, j, self._field_cards[j])
+        for pair_idx, pair in enumerate(self.pairs):
+            keys = _tuple_keys(x, pair, self._field_cards)
             # Fibonacci-style multiplicative mixing (in wrapping uint64
             # arithmetic) before the modulo keeps sequential keys from
             # landing in sequential buckets.

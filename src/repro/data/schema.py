@@ -10,6 +10,7 @@ records field names, kinds and cardinalities and enumerates the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import List, Tuple
 
 
@@ -72,10 +73,12 @@ class Schema:
         m = self.num_fields
         return m * (m - 1) // 2
 
-    def pairs(self) -> List[Tuple[int, int]]:
-        """All field-index pairs (i, j) with i < j, in the paper's order."""
-        m = self.num_fields
-        return [(i, j) for i in range(m) for j in range(i + 1, m)]
+    def pairs(self, order: int = 2) -> List[Tuple[int, ...]]:
+        """All C(M, order) field-index tuples in lexicographic order: by
+        default the pairs (i, j) with i < j, in the paper's order."""
+        if order < 2:
+            raise ValueError(f"order must be >= 2, got {order}")
+        return list(combinations(range(self.num_fields), order))
 
     def pair_names(self) -> List[str]:
         """Readable names for every feature interaction."""

@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .cross import CrossProductTransform, PairKeys, _pair_keys
+from .cross import CrossProductTransform, PairKeys, _tuple_keys
 from .preprocessing import QuantileBucketizer
 from .schema import Schema
 from .vocabulary import Vocabulary
@@ -176,16 +176,17 @@ class LabelSketch:
 
 
 class CrossSketch:
-    """Per-pair cross-key counts over encoded id chunks.
+    """Per-tuple cross-key counts over encoded id chunks (field pairs, or
+    tuples of any one order).
 
-    ``update`` appends each pair's ``np.unique(keys, return_counts=True)``
-    run.  A pair's first run is its merged run; its later runs fold into
+    ``update`` appends each tuple's ``np.unique(keys, return_counts=True)``
+    run.  A tuple's first run is its merged run; its later runs fold into
     it whenever they outgrow it, so the sketch holds fewer than twice the
     distinct keys plus one chunk, the merges cost linear work in total,
     and a one-chunk sketch merges nothing.
     """
 
-    def __init__(self, pairs: Sequence[Tuple[int, int]],
+    def __init__(self, pairs: Sequence[Tuple[int, ...]],
                  field_cards: Sequence[int]) -> None:
         self.pairs = list(pairs)
         self.field_cards = list(field_cards)
@@ -195,14 +196,14 @@ class CrossSketch:
 
     def update(self, x: np.ndarray) -> "CrossSketch":
         x = np.asarray(x)
-        for runs, (i, j) in zip(self._runs, self.pairs):
-            keys = _pair_keys(x, i, j, self.field_cards[j])
+        for runs, fields in zip(self._runs, self.pairs):
+            keys = _tuple_keys(x, fields, self.field_cards)
             _fold(runs, np.unique(keys, return_counts=True))
         return self
 
     def kept(self, min_count: int = 1) -> np.ndarray:
-        """Every pair's sorted keys counted at least ``min_count`` times,
-        offset by the pair's base into one sorted array."""
+        """Every tuple's sorted keys counted at least ``min_count`` times,
+        offset by the tuple's base into one sorted array."""
         kept = [np.empty(0, dtype=np.int64)]
         for runs, base in zip(self._runs, self.pair_keys.bases):
             if runs:
@@ -211,7 +212,7 @@ class CrossSketch:
         return np.concatenate(kept)
 
     def kept_keys(self, min_count: int = 1) -> List[np.ndarray]:
-        """Per pair, the sorted keys counted at least ``min_count`` times."""
+        """Per tuple, the sorted keys counted at least ``min_count`` times."""
         return self.pair_keys.split(self.kept(min_count))
 
     def finalize(self, schema: Schema,

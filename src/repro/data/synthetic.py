@@ -271,8 +271,9 @@ def make_dataset(config: SyntheticConfig, with_cross: bool = True,
     the cross-product transformation for models that never memorize.
     ``with_triples=True`` additionally attaches third-order cross ids (the
     higher-order extension; all C(M,3) triples unless ``triple_tuples`` is
-    given), which :class:`repro.core.higher_order.HigherOrderOptInter`
-    consumes.
+    given) from a :class:`~repro.data.cross.CrossProductTransform` over
+    the triples; :class:`repro.core.OptInterModel` then searches and
+    re-trains them alongside the pairs (``run_optinter``).
     """
     raw, y, truth, schema = generate_raw(config)
     n, m = raw.shape
@@ -304,13 +305,12 @@ def make_dataset(config: SyntheticConfig, with_cross: bool = True,
     triple_cards = None
     tuples = None
     if with_triples:
-        from .higher_order import TupleCrossTransform
-
-        transform = TupleCrossTransform(schema, order=3, tuples=triple_tuples,
-                                        min_count=triple_min_count)
+        transform = CrossProductTransform(
+            schema, min_count=triple_min_count,
+            tuples=schema.pairs(3) if triple_tuples is None else triple_tuples)
         x_triple = transform.fit_transform(x, cardinalities)
         triple_cards = transform.cardinalities
-        tuples = transform.tuples
+        tuples = transform.pairs
 
     dataset = CTRDataset(
         schema=schema,

@@ -73,8 +73,8 @@ class Vocabulary:
         """Vectorised lookup returning an int64 array.
 
         An empty iterable yields an empty *int64* array — downstream
-        index arithmetic (and the serving validator) must never see a
-        dtype change on the empty edge case.  ``None``/NaN entries fall
+        index arithmetic must never see a dtype change on the empty edge
+        case.  ``None``/NaN entries fall
         through ``dict.get`` to the OOV id like any unseen value.
         """
         if not self._frozen:
@@ -82,11 +82,6 @@ class Vocabulary:
         return np.fromiter(
             (self._value_to_id.get(v, OOV_ID) for v in values), dtype=np.int64
         )
-
-    def map(self, values: Iterable[Hashable]) -> np.ndarray:
-        """Alias of :meth:`transform` — the serving validator's name for
-        the raw-value → id mapping step."""
-        return self.transform(values)
 
     def __contains__(self, value: Hashable) -> bool:
         return value in self._value_to_id

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import (
     CombinationBlock,
-    HigherOrderOptInter,
     Method,
     OptInterModel,
     sample_gumbel,
@@ -306,9 +305,10 @@ def test_higher_order_search_steps_match_composed(triple_splits,
     assert train.triples
 
     def build():
-        return HigherOrderOptInter(
-            train.cardinalities, train.cross_cardinalities, train.triples,
-            train.triple_cardinalities, embed_dim=4, cross_embed_dim=3,
-            hidden_dims=(16,), temperature=0.5, rng=np.random.default_rng(5))
+        return OptInterModel(
+            train.cardinalities, train.cross_cardinalities, embed_dim=4,
+            cross_embed_dim=3, hidden_dims=(16,), temperature=0.5,
+            rng=np.random.default_rng(5), triples=train.triples,
+            triple_cardinalities=train.triple_cardinalities)
 
     _assert_same_training(build, train, monkeypatch)

@@ -1,16 +1,19 @@
-"""HigherOrderOptInter: third-order search, retrain, planted recovery."""
+"""OptInterModel over field triples: third-order search, retrain,
+planted recovery, through the one pipeline (``run_optinter``)."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
     Architecture,
-    HigherOrderOptInter,
     Method,
+    OptInterModel,
+    RetrainConfig,
     SearchConfig,
-    retrain_higher_order,
-    run_higher_order,
-    search_higher_order,
+    retrain,
+    run_optinter,
+    search_bilevel,
+    search_optinter,
 )
 from repro.data import SyntheticConfig, make_dataset
 from repro.nn import binary_cross_entropy_with_logits
@@ -47,16 +50,28 @@ def _search_config(**overrides):
     return SearchConfig(**base)
 
 
+def _retrain_config(config, epochs):
+    """The re-train stage a search config implies (as ``run_optinter``
+    derives it), for ``epochs`` epochs."""
+    return RetrainConfig(embed_dim=config.embed_dim,
+                         cross_embed_dim=config.cross_embed_dim,
+                         hidden_dims=tuple(config.hidden_dims),
+                         layer_norm=config.layer_norm, lr=config.lr,
+                         l2_cross=config.l2_cross,
+                         batch_size=config.batch_size, epochs=epochs,
+                         patience=3, seed=config.seed + 1)
+
+
 def _model(dataset, pair_arch=None, triple_arch=None, **kwargs):
     defaults = dict(embed_dim=4, cross_embed_dim=3, hidden_dims=(16,),
                     rng=np.random.default_rng(0))
     defaults.update(kwargs)
-    return HigherOrderOptInter(
+    return OptInterModel(
         cardinalities=dataset.cardinalities,
         cross_cardinalities=dataset.cross_cardinalities,
         triples=dataset.triples,
         triple_cardinalities=dataset.triple_cardinalities,
-        pair_architecture=pair_arch,
+        architecture=pair_arch,
         triple_architecture=triple_arch,
         **defaults,
     )
@@ -125,6 +140,27 @@ class TestModel:
         assert pair_arch.num_pairs == dataset.num_pairs
         assert triple_arch.num_pairs == len(dataset.triples)
 
+    def test_state_dict_names_and_draw_order(self, triple_data):
+        # Pairs keep the pairs-only names; the triple group draws its
+        # table right after the pairs' one, so everything drawn before it
+        # equals a pairs-only model on the same seed.
+        dataset, *_ = triple_data
+        model = _model(dataset, factorization="generalized")
+        keys = list(model.state_dict())
+        assert keys[:7] == [
+            "generalized_kernel", "triple_generalized_kernel",
+            "embedding.table.weight", "cross_embedding.table.weight",
+            "triple_cross.table.weight", "combination.alpha",
+            "triple_combination.alpha"]
+        assert all(key.startswith("mlp.") for key in keys[7:])
+        pairs_only = OptInterModel(dataset.cardinalities,
+                                   dataset.cross_cardinalities, embed_dim=4,
+                                   cross_embed_dim=3, hidden_dims=(16,),
+                                   rng=np.random.default_rng(0))
+        for key in ("embedding.table.weight", "cross_embedding.table.weight"):
+            np.testing.assert_array_equal(model.state_dict()[key],
+                                          pairs_only.state_dict()[key])
+
     def test_derive_rejected_in_fixed_mode(self, triple_data):
         dataset, *_ = triple_data
         model = _model(dataset,
@@ -137,16 +173,31 @@ class TestModel:
 class TestPipeline:
     def test_search_returns_both_orders(self, triple_data):
         _, _, train, val, _ = triple_data
-        pair_arch, triple_arch, history, model = search_higher_order(
-            train, val, _search_config())
-        assert pair_arch.num_pairs == train.num_pairs
-        assert triple_arch.num_pairs == len(train.triples)
-        assert len(history) == 2
+        result = search_optinter(train, val, _search_config())
+        assert result.architecture.num_pairs == train.num_pairs
+        assert result.triple_architecture.num_pairs == len(train.triples)
+        assert len(result.history) == 2
+
+    def test_bilevel_search_covers_triples(self, triple_data):
+        # The bi-level ablation steps both orders' α with its α optimizer.
+        _, _, train, val, _ = triple_data
+        result = search_bilevel(train, val, _search_config(epochs=1))
+        assert result.triple_architecture.num_pairs == len(train.triples)
+        triple_alpha = result.model.triple_combination.alpha.data
+        assert np.abs(triple_alpha).sum() > 0  # moved off its zero init
 
     def test_search_requires_triples(self, tiny_splits):
+        # Without x_triple the search is the pairs-only one, and a triple
+        # architecture cannot be re-trained on such data.
         train, val, _ = tiny_splits
-        with pytest.raises(ValueError):
-            search_higher_order(train, val, _search_config())
+        result = search_optinter(train, val, _search_config(epochs=1))
+        assert result.triple_architecture is None
+        assert result.model.architecture_parameters() == [
+            result.model.combination.alpha]
+        with pytest.raises(ValueError, match="third-order"):
+            retrain(result.architecture, train, val, _retrain_config(
+                _search_config(), 1),
+                triple_architecture=Architecture.all_naive(10))
 
     def test_search_fails_fast_on_non_finite_loss(self, triple_data):
         # Like every other search loop: the NaN batch stops the search at
@@ -156,12 +207,12 @@ class TestPipeline:
         with pytest.raises(RuntimeError,
                            match=r"non-finite training loss .* at epoch 0, "
                                  r"global step 2"):
-            search_higher_order(faulty, val, _search_config())
+            search_optinter(faulty, val, _search_config())
 
     def test_full_pipeline_recovers_planted_triple(self, triple_data):
         _, truth, train, val, test = triple_data
-        result = run_higher_order(train, val, _search_config(epochs=2),
-                                  retrain_epochs=4)
+        config = _search_config(epochs=2)
+        result = run_optinter(train, val, config, _retrain_config(config, 4))
         planted = truth.memorizable_triples[0]
         t_idx = train.triples.index(planted)
         assert result.triple_architecture[t_idx] is not Method.NAIVE
@@ -173,11 +224,11 @@ class TestPipeline:
         P, T = train.num_pairs, len(train.triples)
         pair_arch = Architecture.all_factorize(P)
         triple_arch = Architecture.all_naive(T)
-        config = _search_config()
-        model_a, _ = retrain_higher_order(pair_arch, triple_arch, train, val,
-                                          config, epochs=1)
-        model_b, _ = retrain_higher_order(pair_arch, triple_arch, train, val,
-                                          config, epochs=1)
+        config = _retrain_config(_search_config(), 1)
+        model_a, _ = retrain(pair_arch, train, val, config,
+                             triple_architecture=triple_arch)
+        model_b, _ = retrain(pair_arch, train, val, config,
+                             triple_architecture=triple_arch)
         state_a, state_b = model_a.state_dict(), model_b.state_dict()
         for key in state_a:
             np.testing.assert_array_equal(state_a[key], state_b[key])
@@ -190,13 +241,12 @@ class TestPipeline:
         with_triple = Architecture(methods=tuple(
             Method.MEMORIZE if t == planted_idx else Method.NAIVE
             for t in range(T)))
-        config = _search_config()
+        config = _retrain_config(_search_config(), 5)
         pair_arch = Architecture.all_naive(P)
-        model_with, _ = retrain_higher_order(pair_arch, with_triple, train,
-                                             val, config, epochs=5)
-        model_without, _ = retrain_higher_order(
-            pair_arch, Architecture.all_naive(T), train, val, config,
-            epochs=5)
+        model_with, _ = retrain(pair_arch, train, val, config,
+                                triple_architecture=with_triple)
+        model_without, _ = retrain(pair_arch, train, val, config,
+                                   triple_architecture=Architecture.all_naive(T))
         auc_with = evaluate_model(model_with, test)["auc"]
         auc_without = evaluate_model(model_without, test)["auc"]
         assert auc_with > auc_without

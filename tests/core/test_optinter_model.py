@@ -155,9 +155,10 @@ class TestFactorizationOptions:
         # Parameter shifts the RNG stream for the MLP, so compare the
         # factorized embeddings directly instead of the logits.
         emb = gen.embedding(tiny_dataset.x[:5])
-        e_gen = gen._factorized_embeddings(emb, gen._fac_pairs)
+        pairs = gen._groups[0]
+        e_gen = gen._factorized(emb, pairs)
         gen.factorization = "hadamard"
-        e_had = gen._factorized_embeddings(emb, gen._fac_pairs)
+        e_had = gen._factorized(emb, pairs)
         gen.factorization = "generalized"
         np.testing.assert_allclose(e_gen.numpy(), e_had.numpy())
 

@@ -176,8 +176,7 @@ class TestDivergence:
         model = _build_search_model(train, config, np.random.default_rng(0))
         applied = []
         trainer = BilevelTrainer(
-            model, Adam(table_iv_groups(model, [model.cross_embedding],
-                                        config.lr, config.l2_cross)),
+            model, Adam(table_iv_groups(model, config.lr, config.l2_cross)),
             Adam(model.architecture_parameters(), lr=config.lr_arch),
             config, FaultyDataset(val, BatchCorruptor(at_batch=2)),
             recovery=RecoveryPolicy(max_batch_skips=0),

@@ -152,20 +152,15 @@ class TestOOVEdgeCases:
 
     def test_map_on_empty_iterable_keeps_int64(self):
         vocab = Vocabulary().fit(["a", "b"])
-        out = vocab.map([])
+        out = vocab.transform([])
         assert out.dtype == np.int64
         assert out.shape == (0,)
 
     def test_map_on_empty_generator_keeps_int64(self):
         vocab = Vocabulary().fit(["a"])
-        out = vocab.map(v for v in ())
+        out = vocab.transform(v for v in ())
         assert out.dtype == np.int64
         assert len(out) == 0
-
-    def test_map_is_the_transform_alias(self):
-        vocab = Vocabulary().fit([1, 2, 3])
-        np.testing.assert_array_equal(vocab.map([1, 9, 3]),
-                                      vocab.transform([1, 9, 3]))
 
     def test_none_in_fit_is_an_ordinary_value(self):
         vocab = Vocabulary().fit([None, None, "a"])

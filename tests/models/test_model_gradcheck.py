@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Architecture, HigherOrderOptInter, OptInterModel
+from repro.core import Architecture, OptInterModel
+from repro.core.optinter import FACTORIZATIONS
 from repro.data import Batch, SyntheticConfig, make_dataset
 from repro.models import (
     DCN,
@@ -120,8 +121,17 @@ def test_optinter_search_mode_with_alpha(data):
     _check(model, _batch(data), reseed=[model.combination])
 
 
-@pytest.mark.parametrize("mode", ["search", "fixed"])
-def test_higher_order_optinter(data, mode):
+#: OptInter over pairs and triples, in each mode with every factorization
+#: (the triple group accepts them all); Hadamard keeps the bare mode id.
+TRIPLE_CASES = [(mode, fac) for fac in FACTORIZATIONS
+                for mode in ("search", "fixed")]
+
+
+@pytest.mark.parametrize(
+    "mode,factorization", TRIPLE_CASES,
+    ids=[mode if fac == "hadamard" else f"{mode}-{fac}"
+         for mode, fac in TRIPLE_CASES])
+def test_higher_order_optinter(data, mode, factorization):
     num_pairs, num_triples = len(data.cross_cardinalities), len(data.triples)
     pair_arch = triple_arch = None
     if mode == "fixed":
@@ -129,15 +139,23 @@ def test_higher_order_optinter(data, mode):
             (["factorize", "memorize", "naive"] * num_pairs)[:num_pairs])
         triple_arch = Architecture.from_assignment(
             (["memorize", "factorize", "naive"] * num_triples)[:num_triples])
-    model = HigherOrderOptInter(
-        data.cardinalities, data.cross_cardinalities, data.triples,
-        data.triple_cardinalities, embed_dim=DIM, cross_embed_dim=DIM,
-        hidden_dims=(4,), pair_architecture=pair_arch,
-        triple_architecture=triple_arch, temperature=0.7,
-        rng=np.random.default_rng(1))
-    blocks = [b for b in (model.pair_combination, model.triple_combination)
+    model = OptInterModel(
+        data.cardinalities, data.cross_cardinalities, embed_dim=DIM,
+        cross_embed_dim=DIM, hidden_dims=(4,), architecture=pair_arch,
+        temperature=0.7, factorization=factorization,
+        rng=np.random.default_rng(1), triples=data.triples,
+        triple_cardinalities=data.triple_cardinalities,
+        triple_architecture=triple_arch)
+    blocks = [b for b in (model.combination, model.triple_combination)
               if b is not None]
     for seed, block in enumerate(blocks):
         block.alpha.data[:] = np.random.default_rng(seed + 2).normal(
             size=block.alpha.shape)
+    for seed, kernel in enumerate(
+            (model.generalized_kernel, model.triple_generalized_kernel)):
+        if kernel is not None:
+            # Off ones, so a kernel entry's gradient differs from the
+            # plain product's.
+            kernel.data[:] = np.random.default_rng(seed + 4).normal(
+                size=kernel.shape)
     _check(model, _batch(data), reseed=blocks)

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import repro.core.higher_order as higher_order_module
 import repro.core.optinter as optinter_module
 import repro.models.deep as deep_module
 import repro.models.shallow as shallow_module
@@ -26,7 +25,6 @@ import repro.nn.functional as functional_module
 import repro.nn.sparse as sparse_module
 import repro.nn.tensor as tensor_module
 from repro.core.architecture import Architecture
-from repro.core.higher_order import HigherOrderOptInter
 from repro.core.optinter import OptInterModel
 from repro.data import SyntheticConfig, make_dataset
 from repro.models import FFM, IPNN, PIN, AutoFIS, FmFM, FwFM
@@ -287,15 +285,15 @@ def _assignment(methods, count):
 
 def _higher_order(dataset, rng, search):
     pairs, triples = len(dataset.cross_cardinalities), len(dataset.triples)
-    return HigherOrderOptInter(
-        dataset.cardinalities, dataset.cross_cardinalities, dataset.triples,
-        dataset.triple_cardinalities, embed_dim=4, cross_embed_dim=4,
-        hidden_dims=(16,),
-        pair_architecture=None if search else _assignment(
+    return OptInterModel(
+        dataset.cardinalities, dataset.cross_cardinalities, embed_dim=4,
+        cross_embed_dim=4, hidden_dims=(16,),
+        architecture=None if search else _assignment(
             ["factorize", "memorize", "naive"], pairs),
+        rng=rng, triples=dataset.triples,
+        triple_cardinalities=dataset.triple_cardinalities,
         triple_architecture=None if search else _assignment(
-            ["memorize", "factorize", "naive"], triples),
-        rng=rng)
+            ["memorize", "factorize", "naive"], triples))
 
 
 def _optinter(dataset, rng, search):
@@ -358,7 +356,7 @@ def test_optinter_training_matches_add_at_reference(triple_train, monkeypatch,
     monkeypatch.setattr(tensor_module, "scatter_add", _flat_add_at)
     monkeypatch.setattr(sparse_module, "scatter_add", _flat_add_at)
     for module in (functional_module, shallow_module, deep_module,
-                   higher_order_module, optinter_module):
+                   optinter_module):
         monkeypatch.setattr(module, "index_select", _getitem_pair_gather)
     monkeypatch.setattr(FFM, "forward", _ffm_reference_forward)
     reference = _train_params(triple_train, batches, family)

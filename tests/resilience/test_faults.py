@@ -311,6 +311,44 @@ class TestPipelineResume:
         for key in ref_state:
             np.testing.assert_array_equal(res_state[key], ref_state[key])
 
+    def test_triple_run_resumes_retrain_and_skips_search(self, tmp_path):
+        # A triple-bearing run records both architectures before the
+        # retrain starts, so a resume past the search rebuilds the same
+        # pair + triple model and re-trains the lost epoch bit for bit.
+        from repro.core import Architecture
+        from repro.data import SyntheticConfig, make_dataset
+
+        dataset, _ = make_dataset(
+            SyntheticConfig(cardinalities=[6, 8, 5, 7], n_samples=900,
+                            n_memorizable=1, n_factorizable=1,
+                            n_memorizable_triples=1, min_count=1,
+                            cross_min_count=1, seed=3),
+            with_triples=True, triple_min_count=2)
+        train, val, _ = dataset.split((0.7, 0.15, 0.15),
+                                      rng=np.random.default_rng(1))
+        search_config = SearchConfig(epochs=2, batch_size=128, seed=5)
+        retrain_config = RetrainConfig(epochs=3, batch_size=128, seed=6)
+        ref = run_optinter(train, val, search_config, retrain_config)
+        assert ref.triple_architecture is not None
+        run_optinter(train, val, search_config, retrain_config,
+                     checkpoint_dir=tmp_path)
+        assert Architecture.from_json(
+            (tmp_path / "triple_architecture.json").read_text()
+        ) == ref.triple_architecture
+        CheckpointManager(tmp_path / "retrain").checkpoints()[-1].unlink()
+        resumed = run_optinter(train, val, search_config, retrain_config,
+                               checkpoint_dir=tmp_path, resume=True)
+        assert resumed.search is None  # search skipped via the marker file
+        assert resumed.architecture == ref.architecture
+        assert resumed.triple_architecture == ref.triple_architecture
+        assert _dicts(resumed.retrain_history) == _dicts(ref.retrain_history)
+        ref_state = ref.model.state_dict()
+        res_state = resumed.model.state_dict()
+        assert res_state.keys() == ref_state.keys()
+        assert "triple_cross.table.weight" in ref_state
+        for key in ref_state:
+            assert res_state[key].tobytes() == ref_state[key].tobytes(), key
+
     def test_search_recovery_policy_survives_poison(self, tiny_splits):
         train, val, _ = tiny_splits
         faulty = FaultyDataset(train, BatchCorruptor(at_batch=2))

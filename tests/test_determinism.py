@@ -17,7 +17,6 @@ from repro.core import (
     SearchConfig,
     retrain,
     search_bilevel,
-    search_higher_order,
     search_optinter,
 )
 from repro.data import SyntheticConfig, criteo_like, make_dataset
@@ -89,17 +88,17 @@ class TestSearchPins:
             with_triples=True, triple_min_count=2)
         train, val, _ = dataset.split((0.7, 0.1, 0.2),
                                       rng=np.random.default_rng(0))
-        pair_arch, triple_arch, history, model = search_higher_order(
+        result = search_optinter(
             train, val, _pinned_search_config(
                 embed_dim=4, cross_embed_dim=3, hidden_dims=(16,), lr=3e-3,
                 lr_arch=2e-2, l2_cross=5e-2))
-        assert pair_arch.counts() == [6, 3, 6]
-        assert triple_arch.counts() == [9, 6, 5]
+        assert result.architecture.counts() == [6, 3, 6]
+        assert result.triple_architecture.counts() == [9, 6, 5]
         alpha_sum = sum(float(np.abs(p.data).sum())
-                        for p in model.architecture_parameters())
+                        for p in result.model.architecture_parameters())
         np.testing.assert_allclose(alpha_sum, 6.322004, atol=1e-5)
-        np.testing.assert_allclose(history.records[0].train_loss, 0.636730,
-                                   atol=1e-5)
+        np.testing.assert_allclose(result.history.records[0].train_loss,
+                                   0.636730, atol=1e-5)
 
 
 class TestRetrainPins:
