@@ -194,20 +194,24 @@ class SearchTrainer(Trainer):
         The ``search_alpha`` payload carries the raw logits, the
         noiseless selection probabilities and the argmax decode — enough
         to replay the selection-probability trajectory (paper Table VI /
-        Figure 5) from a trace file alone, without the model.
+        Figure 5) from a trace file alone, without the model.  A model
+        with a triple group adds the same four fields for it under
+        ``triple_*`` keys.
         """
         if not self._buses:
             return
-        combination = self.model.combination
-        architecture = self.model.derive_architecture()
+        architecture, triple_architecture = self.model.derive_architectures()
+        payload = _alpha_fields(self.model.combination, architecture)
+        if triple_architecture is not None:
+            triple = _alpha_fields(self.model.triple_combination,
+                                   triple_architecture)
+            payload.update({f"triple_{key}": value
+                            for key, value in triple.items()})
         self._emit("search_alpha",
                    stage=self.stage,
                    epoch=record.epoch,
                    temperature=temperature,
-                   alpha=combination.alpha.data,
-                   probabilities=combination.probabilities(),
-                   methods=[m.value for m in architecture],
-                   counts=architecture.counts())
+                   **payload)
         self._emit("epoch_end", stage=self.stage, **record.as_dict())
 
     def _validate(self, val: CTRDataset, record: EpochRecord) -> None:
@@ -217,6 +221,15 @@ class SearchTrainer(Trainer):
 
     def _checkpoint_extras(self) -> Dict:
         return {}
+
+
+def _alpha_fields(combination, architecture: Architecture) -> Dict:
+    """One group's ``search_alpha`` fields: α logits, noiseless
+    probabilities and the argmax decode."""
+    return {"alpha": combination.alpha.data,
+            "probabilities": combination.probabilities(),
+            "methods": [m.value for m in architecture],
+            "counts": architecture.counts()}
 
 
 class BilevelTrainer(SearchTrainer):

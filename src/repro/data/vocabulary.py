@@ -10,6 +10,7 @@ transform time — to the reserved OOV id 0.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 from typing import Dict, Hashable, Iterable, List
 
 import numpy as np
@@ -80,7 +81,7 @@ class Vocabulary:
         if not self._frozen:
             raise RuntimeError("vocabulary must be fitted before transform")
         return np.fromiter(
-            (self._value_to_id.get(v, OOV_ID) for v in values), dtype=np.int64
+            map(self._value_to_id.get, values, repeat(OOV_ID)), dtype=np.int64
         )
 
     def __contains__(self, value: Hashable) -> bool:

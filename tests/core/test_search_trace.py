@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import Architecture, SearchConfig, search_bilevel, search_optinter
 from repro.core.architecture import METHOD_ORDER
+from repro.data import SyntheticConfig, make_dataset
 from repro.models import FNN
 from repro.nn import Adam
 from repro.obs import EventBus, MemorySink, read_trace
@@ -57,6 +58,41 @@ class TestSearchAlphaEvents:
         assert probs.shape == (num_pairs, len(METHOD_ORDER))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert len(payload["methods"]) == num_pairs
+
+    def test_pairs_only_payload_keys(self, tiny_splits):
+        train, val, _ = tiny_splits
+        sink = MemorySink()
+        search_optinter(train, val, _config(epochs=1), bus=EventBus([sink]))
+        payload = sink.of_type("search_alpha")[0].payload
+        assert list(payload) == ["stage", "epoch", "temperature", "alpha",
+                                 "probabilities", "methods", "counts"]
+
+    def test_triple_group_rides_along(self):
+        """With triples, the snapshot also replays the triple decisions:
+        the final one equals the result's ``triple_architecture``."""
+        config = SyntheticConfig(cardinalities=[8, 10, 6, 12, 9],
+                                 n_samples=1500, n_memorizable=1,
+                                 n_factorizable=1, n_memorizable_triples=1,
+                                 min_count=1, cross_min_count=1, seed=4)
+        dataset, _ = make_dataset(config, with_triples=True,
+                                  triple_min_count=1)
+        train, val, _ = dataset.split((0.7, 0.1, 0.2),
+                                      rng=np.random.default_rng(0))
+        sink = MemorySink()
+        result = search_optinter(train, val, _config(), bus=EventBus([sink]))
+        final = sink.of_type("search_alpha")[-1].payload
+        assert list(final)[:7] == ["stage", "epoch", "temperature", "alpha",
+                                   "probabilities", "methods", "counts"]
+        assert final["methods"] == [m.value for m in result.architecture]
+        triple = result.triple_architecture
+        assert final["triple_methods"] == [m.value for m in triple]
+        assert final["triple_counts"] == triple.counts()
+        alpha = np.asarray(final["triple_alpha"])
+        probs = np.asarray(final["triple_probabilities"])
+        assert alpha.shape == probs.shape == (len(train.triples),
+                                              len(METHOD_ORDER))
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert Architecture.from_alpha(alpha) == triple
 
     def test_temperature_annealing_visible_in_trace(self, tiny_splits):
         train, val, _ = tiny_splits

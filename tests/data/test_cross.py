@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import CrossProductTransform, HashedCrossTransform, make_schema
+from repro.data import (CrossProductTransform, CrossSketch,
+                        HashedCrossTransform, make_schema)
 
 
 def _schema(m=3):
@@ -114,6 +115,40 @@ class TestAssumeValidFastPath:
         bad = np.array([[0, 99, 0]])
         out = cross.transform(bad, assume_valid=True)  # must not raise
         assert out.shape == (1, schema.num_pairs)
+
+    @pytest.mark.parametrize("row", [[-1, 0, 0], [0, 0, -7], [3, 4, 3],
+                                      [2 ** 40, 0, 0], [-(2 ** 40), 2, 1]])
+    def test_fast_path_never_raises_on_out_of_range_ids(self, rng, row):
+        schema = _schema(3)
+        cross = CrossProductTransform(schema).fit(
+            rng.integers(0, 4, size=(40, 3)))
+        out = cross.transform(np.array([row, [0, 1, 2]]), assume_valid=True)
+        assert out.shape == (2, schema.num_pairs)
+        np.testing.assert_array_equal(out[1],
+                                      cross.transform(np.array([[0, 1, 2]]))[0])
+
+
+class TestCrossSketchRange:
+    """``CrossSketch.update`` counts only ids in ``[0, card)``: an id
+    outside would alias another key, or index a count from the end."""
+
+    @pytest.mark.parametrize("col, value", [(0, -1), (1, 4), (2, -(2 ** 40)),
+                                            (2, 2 ** 40)])
+    def test_update_rejects_ids_outside_the_field(self, rng, col, value):
+        schema = _schema(3)
+        sketch = CrossSketch(schema.pairs(), schema.cardinalities)
+        x = rng.integers(0, 4, size=(30, 3))
+        x[17, col] = value
+        with pytest.raises(ValueError, match=rf"field {col} ids must be in"):
+            sketch.update(x)
+        # Nothing of the rejected chunk was counted.
+        assert sketch.kept().size == 0
+
+    def test_update_accepts_the_range_edges(self):
+        schema = _schema(2)
+        sketch = CrossSketch(schema.pairs(), schema.cardinalities)
+        sketch.update(np.array([[0, 3], [3, 0], [3, 3]]))
+        np.testing.assert_array_equal(sketch.kept_keys()[0], [3, 12, 15])
 
 
 class TestHashedCrossTransform:

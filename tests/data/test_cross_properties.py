@@ -12,7 +12,11 @@ Invariants, driven by hypothesis over random schemas and id matrices:
 * every cross id equals the Eq. 4 formula (1 + the key's rank among its
   pair's sorted kept keys, ``OOV_ID`` when absent), computed here from
   plain Python counts, at row counts around the lookup's block size;
-* a sketch holds fewer than twice the distinct keys plus one chunk.
+* a sketch on sorted runs holds fewer than twice the distinct keys plus
+  one chunk.
+
+``test_cross_sorted.py`` runs the exact-transform classes here again
+with the dense key space capped at 0.
 
 Plus regression tests for two fixed bugs: ``HashedCrossTransform.fit``
 accepted any input shape, and ``CrossProductTransform.transform``
@@ -188,6 +192,7 @@ class TestCrossIdsAgainstFormula:
             cross.transform(np.array([[0, 1]])), [[OOV_ID]])
 
 
+@pytest.mark.usefixtures("sorted_cross_keys")
 class TestCrossSketchMemory:
     def test_held_entries_bounded_by_distinct_keys(self):
         # Small fields make every chunk repeat keys already counted; a
@@ -197,6 +202,7 @@ class TestCrossSketchMemory:
         pairs = schema.pairs()
         rng = np.random.default_rng(7)
         sketch = CrossSketch(pairs, cards)
+        assert len(sketch._runs) == len(pairs)  # the sorted-run path
         seen = set()
         for _ in range(50):
             chunk = np.stack([rng.integers(0, card, 40) for card in cards],
