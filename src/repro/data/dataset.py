@@ -8,11 +8,14 @@ fields and, optionally, cross-product ids) plus labels.  Models consume
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .schema import Schema
+
+if TYPE_CHECKING:
+    from .cross import CrossProductTransform
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,9 @@ class CTRDataset:
     x_triple: Optional[np.ndarray] = None
     triple_cardinalities: Optional[List[int]] = None
     triples: Optional[List[Tuple[int, ...]]] = None
+    #: The fitted transform that produced ``x_cross``, when known: it
+    #: encodes new rows (serving) with exactly the training ids.
+    cross_transform: Optional["CrossProductTransform"] = None
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=np.int64)
@@ -121,6 +127,7 @@ class CTRDataset:
             x_triple=None if self.x_triple is None else self.x_triple[indices],
             triple_cardinalities=self.triple_cardinalities,
             triples=self.triples,
+            cross_transform=self.cross_transform,
         )
 
     def split(

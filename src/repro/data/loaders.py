@@ -308,6 +308,7 @@ class CTRPipeline:
             x_cross=cross.transform(x) if cross is not None else None,
             cross_cardinalities=(cross.cardinalities
                                  if cross is not None else None),
+            cross_transform=cross,
         )
 
     def fit(self, columns: Columns) -> "CTRPipeline":

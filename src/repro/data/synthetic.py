@@ -296,6 +296,7 @@ def make_dataset(config: SyntheticConfig, with_cross: bool = True,
 
     x_cross = None
     cross_cards = None
+    cross = None
     if with_cross:
         cross = CrossProductTransform(schema, min_count=config.cross_min_count)
         x_cross = cross.fit_transform(x, cardinalities)
@@ -322,6 +323,7 @@ def make_dataset(config: SyntheticConfig, with_cross: bool = True,
         x_triple=x_triple,
         triple_cardinalities=triple_cards,
         triples=tuples,
+        cross_transform=cross,
     )
     return dataset, truth
 

@@ -41,7 +41,6 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional,
 
 import numpy as np
 
-from ..data.cross import CrossProductTransform
 from ..data.dataset import Batch
 from ..obs.events import EventBus
 from ..obs.export import CONTENT_TYPE, render_prometheus
@@ -192,18 +191,10 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
 
     model = model_factory()
 
-    # Cross features: re-fit the deterministic transform on the full
-    # split so serve-time cross ids equal train-time ones exactly.
-    cross_transform = None
-    if model.needs_cross:
-        sync_config = config.make_dataset_config()
-        cross_transform = CrossProductTransform(
-            bundle.full.schema, min_count=sync_config.cross_min_count)
-        cross_transform.fit(bundle.full.x, bundle.full.cardinalities)
-        if cross_transform.cardinalities != bundle.full.cross_cardinalities:
-            raise RuntimeError(
-                "re-fitted cross transform disagrees with the dataset; "
-                "dataset/scale/samples must match the training run")
+    # Cross features: the transform that produced the training cross ids,
+    # so serve-time ids equal train-time ones exactly.
+    cross_transform = (bundle.full.cross_transform if model.needs_cross
+                       else None)
 
     # Initial weights: explicit .npz beats checkpoint dir beats random.
     # The pick consults the rollout manifest at every replica count, so

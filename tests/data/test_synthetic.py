@@ -83,6 +83,14 @@ class TestMakeDataset:
     def test_without_cross(self, tiny_config):
         ds, _ = make_dataset(tiny_config, with_cross=False)
         assert ds.x_cross is None
+        assert ds.cross_transform is None
+
+    def test_keeps_the_transform_that_made_its_cross_ids(self, tiny_dataset):
+        transform = tiny_dataset.cross_transform
+        np.testing.assert_array_equal(transform.transform(tiny_dataset.x),
+                                      tiny_dataset.x_cross)
+        assert transform.cardinalities == tiny_dataset.cross_cardinalities
+        assert tiny_dataset.subset(np.arange(5)).cross_transform is transform
 
     def test_memorizable_pair_has_high_mi(self, tiny_dataset, tiny_truth):
         """The planted memorizable interaction must out-inform noise pairs."""

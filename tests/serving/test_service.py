@@ -1,5 +1,9 @@
 """The request path: statuses, deadlines, breaker coupling, probes."""
 
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from repro.serving import (
@@ -14,6 +18,9 @@ from repro.serving import (
     STATUS_OK,
     STATUS_SHED,
 )
+from repro.data.cross import CrossProductTransform
+from repro.experiments import default_config, prepare_dataset
+from repro.serving import build_serving_stack
 from repro.serving.faults import FlakyModel, SlowModel
 
 
@@ -189,3 +196,20 @@ class TestShedAndProbes:
         assert service.ready is True
         assert pool.readiness() == {"ready": True, "model_version": "v1",
                                     "healthy": 1, "replicas": 1}
+
+
+class TestServingStack:
+    def test_serves_with_the_cross_transform_the_dataset_fitted(self):
+        """Start-up fits the cross vocabulary once, in the dataset build,
+        and serves training's cross ids."""
+        fit_sketch = CrossProductTransform.fit_sketch
+        with mock.patch.object(CrossProductTransform, "fit_sketch",
+                               autospec=True, side_effect=fit_sketch) as fit:
+            stack = build_serving_stack("Poly2", "criteo", "quick",
+                                        samples=300)
+        assert fit.call_count == 1
+        transform = stack.service.replicas[0].service.cross_transform
+        bundle = prepare_dataset(replace(default_config("criteo", "quick"),
+                                         n_samples=300))
+        np.testing.assert_array_equal(transform.transform(bundle.full.x),
+                                      bundle.full.x_cross)
