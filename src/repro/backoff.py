@@ -9,7 +9,7 @@ below only add jitter on top of it:
   delay ``i`` is the capped exponential scaled by a uniform factor in
   ``[1 - jitter, 1 + jitter]``, so the expected delay equals the
   deterministic schedule (``jitter=0.0`` gives exactly that schedule).
-  Checkpoint reads during hot reload and ingest line reads retry
+  Checkpoint reads during rollout and ingest line reads retry
   transient ``OSError``s with it.
 * :class:`RestartBackoff` — full jitter (AWS style): delay ``i`` is
   uniform in ``[0, cap_i]``.  Spreads a thundering herd hardest; the
@@ -72,10 +72,10 @@ def retry_with_backoff(fn: Callable[[], T], *,
     """Call ``fn`` with up to ``retries`` retries on ``retry_on`` errors.
 
     The first call is free; each retry sleeps one backoff delay first.
-    ``on_retry(attempt, error)`` fires before each sleep — the reloader
-    uses it to emit a ``reload`` event per transient failure.  The last
-    error re-raises unchanged once the budget is spent, so callers keep
-    the original typed exception.
+    ``on_retry(attempt, error)`` fires before each sleep — checkpoint
+    rollout uses it to emit a ``rollout`` event per transient failure.
+    The last error re-raises unchanged once the budget is spent, so
+    callers keep the original typed exception.
     """
     delays = backoff_delays(retries, base_delay=base_delay, factor=factor,
                             max_delay=max_delay, jitter=jitter, rng=rng)

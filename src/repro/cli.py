@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--reload-interval", type=float, default=1.0,
                        metavar="SECONDS",
                        help="how often to poll --checkpoint-dir for new "
-                            "checkpoints to hot-reload")
+                            "checkpoints to roll out")
     serve.add_argument("--inject", action="append", default=None,
                        metavar="KIND:VALUE",
                        help="chaos injection: flaky:K (first K scores fail), "
@@ -261,8 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "repeatable (targets replica 0)")
     serve.add_argument("--replicas", type=int, default=1,
                        help="replica pool size (>1 adds health-checked "
-                            "failover, hedged requests and canary checkpoint "
-                            "rollout)")
+                            "failover and hedged requests; a pool with a "
+                            "replica to spare above --min-healthy rolls "
+                            "checkpoints out through a canary, any other "
+                            "promotes them directly)")
     serve.add_argument("--min-healthy", type=int, default=1,
                        help="quarantine/canary never drop the healthy "
                             "replica count below this floor (1..--replicas)")
@@ -275,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FRACTION",
                        help="fraction of live traffic shadow-"
                             "scored on the canary replica during rollout "
-                            "(default 0.1; 0 disables canary rollout; a "
-                            "pool of one hot-reloads instead)")
+                            "(default 0.1; 0 promotes new checkpoints "
+                            "without a canary, as a pool with no spare "
+                            "replica always does)")
     _add_trace(serve)
 
     predict = sub.add_parser(
@@ -469,7 +472,7 @@ def _add_serving_stack(parser: argparse.ArgumentParser) -> None:
                              "--checkpoint`")
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                         help="load the newest valid training checkpoint and "
-                             "hot-reload when new ones appear")
+                             "roll out new ones as they appear")
     parser.add_argument("--deadline-ms", type=float, default=None,
                         help="default per-request deadline budget")
     parser.add_argument("--breaker-threshold", type=int, default=5,

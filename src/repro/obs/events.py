@@ -39,7 +39,6 @@ EVENT_TYPES = {
     "checkpoint",  # a training checkpoint was written (path, epoch, step)
     "serve_request",  # one serving request resolved (status, latency)
     "degrade",     # a degraded answer was served (ladder level, reason)
-    "reload",      # hot checkpoint reload attempt (ok/corrupt/rolled back)
     "shed",        # load shedding dropped a request (queue depth, reason)
     "span",        # one finished tracing span (trace/span/parent ids, timing)
     "alert",       # a monitor threshold tripped (drift kind, value, threshold)

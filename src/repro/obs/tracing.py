@@ -10,7 +10,7 @@ into a tree (``repro obs tree``) and per-name latency tables
 Spans ride the existing event layer: every finished span is emitted as a
 ``span`` event on the :class:`~repro.obs.events.EventBus`, one JSON line
 in the same trace file that already carries ``epoch_end`` /
-``serve_request`` / ``reload`` events — one file, one timeline.
+``serve_request`` / ``rollout`` events — one file, one timeline.
 
 Design points:
 

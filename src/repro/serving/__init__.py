@@ -13,12 +13,12 @@ answer inside its deadline**.  Six cooperating pieces:
   closed/open/half-open circuit breaker.
 * :mod:`repro.serving.queue` — bounded priority queue that sheds
   lowest-priority work with typed 503-style responses.
-* :mod:`repro.serving.reload` — hot checkpoint reload: retry-with-
-  backoff reads, integrity checks, golden-request validation, atomic
-  swap, rollback on any failure.
+* :mod:`repro.serving.reload` — checkpoint admission: retry-with-
+  backoff reads, integrity checks, golden-request validation; any
+  failure refuses the file.
 * :mod:`repro.serving.service` — the request path tying it together,
   with deadline budgeting and full metrics/event instrumentation
-  (``serve_request`` / ``degrade`` / ``reload`` / ``shed``).
+  (``serve_request`` / ``degrade`` / ``shed``).
 * :mod:`repro.serving.faults` — serving-side fault injectors mirroring
   :mod:`repro.resilience.faults`, driving the chaos suite.
 * :mod:`repro.serving.batching` — micro-batching: coalesce queued
@@ -27,9 +27,10 @@ answer inside its deadline**.  Six cooperating pieces:
 * :mod:`repro.serving.replica` — high availability: a pool of
   independently-health-checked replicas behind least-inflight routing,
   quarantined restart with full-jitter backoff, and hedged requests.
-* :mod:`repro.serving.rollout` — canary checkpoint rollout: shadow a
-  candidate on one replica against live mirrored traffic, auto-promote
-  replica-by-replica or auto-rollback, resumable via an atomic
+* :mod:`repro.serving.rollout` — checkpoint rollout at every pool
+  size: shadow a candidate on one replica against live mirrored
+  traffic, auto-promote replica-by-replica or auto-rollback (a pool
+  with no spare replica promotes directly), resumable via an atomic
   manifest.
 
 ``repro serve`` (stdio or threaded socket JSONL) and ``repro predict``
@@ -54,7 +55,7 @@ from .errors import (
     ServingError,
 )
 from .queue import BoundedRequestQueue
-from .reload import GoldenSet, HotReloader
+from .reload import GoldenSet
 from .replica import (
     REPLICA_CANARY,
     REPLICA_HEALTHY,
@@ -106,7 +107,6 @@ __all__ = [
     "MicroBatcher",
     "BatchRequest",
     "GoldenSet",
-    "HotReloader",
     "PredictionService",
     "PredictionResponse",
     "STATUS_OK",

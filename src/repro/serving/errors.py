@@ -87,7 +87,7 @@ class OverloadedError(ServingError):
 
 class ModelUnavailableError(ServingError):
     """No scorable model is loaded (startup before readiness, or a
-    reload left the service without a valid model — which the reloader's
-    rollback is designed to prevent)."""
+    reload left the service without a valid model — which checkpoint
+    admission is designed to prevent)."""
 
     code = "model_unavailable"

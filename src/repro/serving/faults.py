@@ -13,7 +13,7 @@ matching what production inference actually sees:
 * :class:`FlakyModel` — scoring raises on cue (first K calls or every
   K-th), driving the failure path and breaker transitions;
 * :class:`CheckpointSwapper` — writes valid or corrupt checkpoints into
-  the hot-reload watch directory *mid-traffic*, driving promote and
+  the rollout watch directory *mid-traffic*, driving promote and
   rollback while requests are in flight.
 
 The HA layer (PR 10) adds pool-level chaos on top:
@@ -264,7 +264,7 @@ class CheckpointSwapper:
     :class:`TrainingCheckpoint` at the next epoch number;
     ``write_corrupt`` writes a same-named file that fails integrity
     checks (truncated archive or flipped checksum byte), which the
-    reloader must refuse and roll back from.
+    checkpoint watcher must refuse.
     """
 
     def __init__(self, manager: CheckpointManager) -> None:

@@ -1,31 +1,28 @@
-"""Hot checkpoint reload: pick up new weights without dropping traffic.
+"""Checkpoint admission: the checks every served checkpoint passes first.
 
 A training job writes :class:`~repro.resilience.checkpoint.
-TrainingCheckpoint` archives into a directory; the serving replica
-watches that directory and promotes newer checkpoints through a strict
-pipeline:
+TrainingCheckpoint` archives into a directory; the
+:class:`~repro.serving.rollout.CanaryController` watches that directory
+and admits each new checkpoint through a strict pipeline before any
+replica serves it:
 
 1. **read with retry** — transient ``OSError``s back off exponentially
    with jitter (:func:`~repro.backoff.retry_with_backoff`);
 2. **integrity** — checksum/version failures surface as
-   :class:`CorruptCheckpointError` and the file is remembered as bad so
-   it is not re-tried every poll;
-3. **golden validation** — the candidate model (a *fresh* instance from
-   ``model_factory``; the live model is never mutated) must answer a
-   fixed golden-request set with finite probabilities in ``[0, 1]``,
-   optionally within a tolerance of recorded expectations;
-4. **atomic swap** — only then does :meth:`PredictionService.swap_model`
-   flip the reference.  Any failure rolls back by simply not swapping:
-   the previous model keeps serving.
+   :class:`CorruptCheckpointError` and refuse the file;
+3. **load** — the weights go into a *fresh* instance from
+   ``model_factory`` (the live model is never mutated), so a mismatched
+   architecture refuses the file too;
+4. **golden validation** — the candidate must answer a fixed
+   golden-request set with finite probabilities in ``[0, 1]``,
+   optionally within a tolerance of recorded expectations.
 
-Every attempt emits a ``reload`` event (``status`` = ``ok`` /
-``corrupt`` / ``golden_failed`` / ``io_retry`` / ``error``) so the
-promote/rollback history reconstructs from the trace.
+A refusal raises :class:`CheckpointRefused`; the controller records it
+in the rollout manifest, and the previous model keeps serving.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -33,9 +30,6 @@ import numpy as np
 
 from ..backoff import retry_with_backoff
 from ..models.base import CTRModel
-from ..obs.events import EventBus
-from ..obs.metrics import MetricsRegistry
-from ..poller import Poller
 from ..resilience.checkpoint import (CheckpointManager, CorruptCheckpointError,
                                      TrainingCheckpoint)
 from .service import PredictionService
@@ -181,112 +175,3 @@ def newest_candidate(manager: CheckpointManager,
         if not is_bad(path):
             return path, epoch
     return None
-
-
-class HotReloader:
-    """Watches a checkpoint directory and promotes validated models.
-
-    ``model_factory`` builds an architecture-matched, uninitialised
-    model; the checkpoint's ``model_state`` is loaded into that fresh
-    instance so a half-applied load can never corrupt the live model.
-    Use :meth:`poll_once` for deterministic tests and explicit control,
-    or :meth:`start` for a background polling thread.
-    """
-
-    def __init__(self, service: PredictionService,
-                 manager: CheckpointManager,
-                 model_factory: Callable[[], CTRModel],
-                 golden: Optional[GoldenSet] = None,
-                 interval_s: float = 1.0,
-                 retries: int = 3,
-                 bus: Optional[EventBus] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
-        self.service = service
-        self.manager = manager
-        self.model_factory = model_factory
-        self.golden = golden
-        self.interval_s = interval_s
-        self.retries = retries
-        self.bus = bus
-        self.metrics = metrics if metrics is not None else service.metrics
-        self._sleep = sleep
-        self._loaded_epoch: Optional[int] = None
-        self._bad_paths: Dict[str, float] = {}
-        self.poller = Poller(
-            self.poll_once, lambda: self.interval_s,
-            lambda exc: self._emit("error", error=str(exc)), "hot-reloader")
-
-    # ------------------------------------------------------------------
-    def _emit(self, status: str, **payload) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(f"serve.reload.{status}").inc()
-        if self.bus is not None:
-            self.bus.emit("reload", status=status, **payload)
-
-    def _is_bad(self, path: Path) -> bool:
-        """Known bad, keyed by path + mtime so a rewritten file gets a
-        fresh chance; a file that cannot be statted is skipped too."""
-        try:
-            mtime = path.stat().st_mtime
-        except OSError:
-            return True
-        return self._bad_paths.get(str(path)) == mtime
-
-    def poll_once(self) -> bool:
-        """One reload attempt; True iff a new model was promoted.
-
-        When a candidate exists the whole read→integrity→golden→swap
-        pipeline runs inside a ``serve.reload`` span (idle polls stay
-        span-free, so traces only show reloads that did work).
-        """
-        found = newest_candidate(self.manager, self._loaded_epoch,
-                                 self._is_bad)
-        if found is None:
-            return False
-        path = found[0]
-        with self.service.tracer.span("serve.reload",
-                                      path=str(path)) as span:
-            promoted = self._attempt_reload(path, span)
-            span.set_attr("promoted", promoted)
-        return promoted
-
-    def _attempt_reload(self, path: Path, span) -> bool:
-        try:
-            mtime = path.stat().st_mtime
-        except OSError:
-            return False
-        try:
-            checkpoint, candidate_model = admit_checkpoint(
-                path, self.model_factory, service=self.service,
-                golden=self.golden, retries=self.retries, sleep=self._sleep,
-                on_retry=lambda attempt, exc: self._emit(
-                    "io_retry", path=str(path), attempt=attempt,
-                    error=str(exc)))
-        except OSError as exc:
-            self._emit("error", path=str(path), error=str(exc))
-            span.mark_error(exc)
-            return False
-        except CheckpointRefused as refused:
-            self._bad_paths[str(path)] = mtime
-            epoch = {} if refused.epoch is None else {"epoch": refused.epoch}
-            self._emit(refused.status, path=str(path), error=str(refused),
-                       **epoch)
-            span.set_attr("outcome", refused.status)
-            return False
-
-        version = f"epoch-{checkpoint.epoch:08d}"
-        previous = self.service.swap_model(candidate_model, version)
-        self._loaded_epoch = checkpoint.epoch
-        self._emit("ok", path=str(path), epoch=checkpoint.epoch,
-                   version=version, previous_version=previous)
-        span.set_attr("outcome", "ok")
-        span.set_attr("version", version)
-        return True
-
-    def start(self) -> None:
-        """Begin background polling (daemon thread; idempotent)."""
-        self.poller.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self.poller.stop(timeout)

@@ -1,12 +1,13 @@
-"""Canary checkpoint rollout: promote through shadow traffic, or roll back.
+"""Checkpoint rollout: promote through shadow traffic, or roll back.
 
-A pool of one's :class:`~repro.serving.reload.HotReloader` promotes
-a checkpoint after integrity + golden checks.  That catches corrupt and
-obviously-broken weights, but a *poisoned* checkpoint — intact archive,
-finite probabilities, silently wrong scores — can still sail through a
-small golden set.  With a replica pool there is a stronger option: stage
-the candidate on one replica and score real traffic against it before
-any user sees an answer from it.
+:class:`CanaryController` is the one checkpoint watcher, at every pool
+size.  Admission (integrity + golden checks, :mod:`repro.serving.reload`)
+catches corrupt and obviously-broken weights, but a *poisoned*
+checkpoint — intact archive, finite probabilities, silently wrong
+scores — can still sail through a small golden set.  A pool with a
+spare replica has a stronger option: stage the candidate on one replica
+and score real traffic against it before any user sees an answer from
+it.
 
 :class:`CanaryController` drives that lifecycle::
 
@@ -15,10 +16,16 @@ any user sees an answer from it.
                          └──fail──▶ rolled back ──────────┘
 
 * **detect** — the newest checkpoint in the watch directory (newer than
-  the fleet's epoch, not previously rolled back) is read with
+  the fleet's epoch, not previously refused) is read with
   retry/backoff, integrity-checked, loaded into a fresh model and
-  golden-validated.  Any failure marks the file bad in the manifest and
-  the fleet keeps serving.
+  golden-validated.  Any failure marks the file bad in the manifest,
+  with its mtime, and the fleet keeps serving; a file rewritten since
+  (a new mtime) gets a fresh chance.
+* **direct promotion** — a pool that can never spare a canary (one
+  replica, ``min_healthy == replicas``, or ``mirror_fraction == 0``)
+  skips mirroring: an admitted checkpoint goes straight to promote.
+  A pool only *temporarily* short of a spare (a replica in quarantine)
+  retries the canary on a later poll instead.
 * **canary + mirror** — one replica is pulled out of user rotation
   (never violating the pool's min-healthy floor) and given the
   candidate.  A configurable fraction of live traffic is *mirrored*:
@@ -82,7 +89,7 @@ _HISTORY_LIMIT = 100
 class RolloutPolicy:
     """Knobs for mirroring volume and the promote/rollback verdict."""
 
-    mirror_fraction: float = 0.1      # fraction of live traffic mirrored
+    mirror_fraction: float = 0.1      # live traffic mirrored; 0: no canary
     min_mirrored: int = 32            # observations before judging
     max_error_rate_delta: float = 0.10
     max_breach_rate_delta: float = 0.10
@@ -94,8 +101,8 @@ class RolloutPolicy:
     max_shadow_queue: int = 512       # pending mirrored requests bound
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.mirror_fraction <= 1.0:
-            raise ValueError(f"mirror_fraction must be in (0, 1], "
+        if not 0.0 <= self.mirror_fraction <= 1.0:
+            raise ValueError(f"mirror_fraction must be in [0, 1], "
                              f"got {self.mirror_fraction}")
         if self.min_mirrored < 1:
             raise ValueError(
@@ -178,8 +185,10 @@ class RolloutManifest:
     Written via :func:`~repro.fsutil.atomic_write_text` on every
     transition, so a crash at any point leaves either the previous state
     or the new one — never a torn file.  ``bad`` remembers rolled-back /
-    refused checkpoints by path so neither a restart nor a re-poll ever
-    serves or re-canaries them.
+    refused checkpoints by path so a restart never boots on them, and
+    with their mtime so a poll never re-admits the same file (a file
+    rewritten since gets a fresh chance; an entry without an mtime stays
+    bad by path).
     """
 
     def __init__(self, path: PathLike,
@@ -192,7 +201,7 @@ class RolloutManifest:
             "candidate": None,        # {"path": ..., "epoch": ...}
             "canary_replica": None,
             "promoted": [],           # replica ids already on the candidate
-            "bad": {},                # path -> {"epoch": ..., "reason": ...}
+            "bad": {},                # path -> {"epoch", "reason", "mtime"}
             "promotions": 0,
             "rollbacks": 0,
             "stats": None,
@@ -233,8 +242,25 @@ class RolloutManifest:
     def bad_paths(self) -> Dict[str, Dict[str, Any]]:
         return self.data.setdefault("bad", {})
 
-    def mark_bad(self, path: str, epoch: Optional[int], reason: str) -> None:
-        self.bad_paths[str(path)] = {"epoch": epoch, "reason": reason}
+    def mark_bad(self, path: str, epoch: Optional[int], reason: str,
+                 mtime: Optional[float] = None) -> None:
+        entry = {"epoch": epoch, "reason": reason}
+        if mtime is not None:
+            entry["mtime"] = mtime
+        self.bad_paths[str(path)] = entry
+
+    def is_bad(self, path: PathLike) -> bool:
+        """Refused, and not rewritten since; a file that cannot be
+        statted counts as unchanged."""
+        entry = self.bad_paths.get(str(path))
+        if entry is None:
+            return False
+        if entry.get("mtime") is None:
+            return True
+        try:
+            return Path(path).stat().st_mtime == entry["mtime"]
+        except OSError:
+            return True
 
     def record(self, event: str, **detail: Any) -> None:
         history = self.data.setdefault("history", [])
@@ -271,8 +297,10 @@ class CanaryController:
     Parameters
     ----------
     pool:
-        The replica pool to stage rollouts on (needs >= 2 replicas and
-        spare capacity above ``min_healthy`` to ever start a canary).
+        The replica pool to roll out on.  A pool that can never spare a
+        canary above ``min_healthy`` (a pool of one, say) or a policy
+        with ``mirror_fraction == 0`` promotes admitted checkpoints
+        directly, and installs no mirror hook.
     manager:
         The watched checkpoint directory.
     model_factory:
@@ -332,7 +360,11 @@ class CanaryController:
             self.poll_once, lambda: self.interval_s,
             lambda _exc: self.metrics.counter("rollout.poll_errors").inc(),
             "canary-controller")
-        pool.set_mirror(self.observe)
+        #: Promote without a canary: the pool can never spare one.
+        self.direct = (self.policy.mirror_fraction == 0
+                       or len(pool.replicas) - 1 < pool.min_healthy)
+        if not self.direct:
+            pool.set_mirror(self.observe)
 
     # ------------------------------------------------------------------
     def _emit(self, status: str, **payload: Any) -> None:
@@ -449,22 +481,26 @@ class CanaryController:
 
     # -- detect ---------------------------------------------------------
     def _detect(self) -> bool:
-        found = newest_candidate(
-            self.manager, self._loaded_epoch,
-            lambda path: str(path) in self.manifest.bad_paths)
+        found = newest_candidate(self.manager, self._loaded_epoch,
+                                 self.manifest.is_bad)
         if found is None:
             return False
         path, epoch = str(found[0]), found[1]
         with self.tracer.span("serve.rollout", stage="detect",
                               path=path) as span:
             advanced = self._stage_candidate(path, epoch, span)
-            span.set_attr("outcome", self.manifest.stage
-                          if advanced else "refused")
+            span.set_attr("outcome", "refused" if not advanced
+                          else "promoted" if self.direct
+                          else self.manifest.stage)
         return advanced
 
     def _stage_candidate(self, path: str, epoch: int, span) -> bool:
         self._emit("detected", path=path, epoch=epoch)
         try:
+            # Stat before reading: a file rewritten mid-admission then
+            # shows a newer mtime than the one recorded, and is judged
+            # again on the next poll.
+            mtime = Path(path).stat().st_mtime
             checkpoint, candidate_model = self._admit(
                 path, on_retry=lambda attempt, exc: self._emit(
                     "io_retry", path=path, attempt=attempt, error=str(exc)))
@@ -473,13 +509,20 @@ class CanaryController:
             span.mark_error(exc)
             return False
         except CheckpointRefused as refused:
-            self.manifest.mark_bad(path, epoch, f"{refused.kind}: {refused}")
+            self.manifest.mark_bad(path, epoch, f"{refused.kind}: {refused}",
+                                   mtime)
             self.manifest.record("refused", path=path, reason=refused.kind)
             self.manifest.save()
             detail = {"epoch": epoch} if refused.kind == "golden" else {}
             self._emit(refused.status, path=path, **detail,
                        error=str(refused))
             return False
+        candidate = {"path": path, "epoch": epoch, "mtime": mtime}
+        if self.direct:
+            self._candidate_checkpoint = checkpoint
+            self.manifest.data["candidate"] = candidate
+            self.manifest.data["promoted"] = []
+            return self._promote()
         # Claim a canary slot (floor-respecting).
         canary = self.pool.begin_canary()
         if canary is None:
@@ -514,7 +557,7 @@ class CanaryController:
             self._shadow.clear()
             canary.service.swap_model(candidate_model, version)
             self.manifest.stage = STAGE_MIRRORING
-            self.manifest.data["candidate"] = {"path": path, "epoch": epoch}
+            self.manifest.data["candidate"] = candidate
             self.manifest.data["canary_replica"] = canary.id
             self.manifest.data["promoted"] = []
             self.manifest.data["stats"] = None
@@ -631,6 +674,8 @@ class CanaryController:
                 self.pool.end_canary(canary)
             self.manifest.stage = STAGE_IDLE
             self.manifest.data["current_epoch"] = epoch
+            # A rewritten file that once was refused is good now.
+            self.manifest.bad_paths.pop(candidate["path"], None)
             self.manifest.data["candidate"] = None
             self.manifest.data["canary_replica"] = None
             self.manifest.data["promotions"] = (
@@ -660,7 +705,8 @@ class CanaryController:
             if canary is not None:
                 self.pool.end_canary(canary)
             if path is not None:
-                self.manifest.mark_bad(path, epoch, reason)
+                self.manifest.mark_bad(path, epoch, reason,
+                                       candidate.get("mtime"))
             self.manifest.stage = STAGE_IDLE
             self.manifest.data["candidate"] = None
             self.manifest.data["canary_replica"] = None

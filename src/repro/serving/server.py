@@ -53,7 +53,7 @@ from .degradation import CircuitBreaker
 from .errors import OverloadedError
 from .faults import FlakyModel, ServeCrash, SlowModel, valid_requests
 from .queue import BoundedRequestQueue
-from .reload import GoldenSet, HotReloader
+from .reload import GoldenSet
 from .replica import ReplicaPool
 from .rollout import (MANIFEST_NAME, CanaryController, RolloutManifest,
                       RolloutPolicy, select_initial_checkpoint)
@@ -71,17 +71,18 @@ SERVABLE_MODELS = ("LR", "FNN", "FM", "FwFM", "FmFM", "IPNN", "OPNN",
 # ----------------------------------------------------------------------
 @dataclass
 class ServingStack:
-    """Everything a serving process runs: service, reloader, metadata.
+    """Everything a serving process runs: service, watcher, metadata.
 
     ``service`` is the facade the protocol handlers talk to:
     :func:`build_serving_stack` makes it a :class:`ReplicaPool` at every
     replica count, also named ``pool`` for lifecycle management.  A
     hand-built stack may serve a bare :class:`PredictionService`, which
     answers scoring lines exactly as a pool of one but has no probes.
+    ``canary`` is the checkpoint watcher, at every pool size, when a
+    checkpoint directory is watched.
     """
 
     service: Any
-    reloader: Optional[HotReloader]
     model_name: str
     dataset: str
     notes: List[str] = field(default_factory=list)
@@ -89,7 +90,7 @@ class ServingStack:
     canary: Optional[CanaryController] = None
 
     def _pollers(self) -> List[Poller]:
-        owners = (self.reloader, self.pool, self.canary)
+        owners = (self.pool, self.canary)
         return [owner.poller for owner in owners if owner is not None]
 
     def start_background(self) -> None:
@@ -152,10 +153,12 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
 
     Every replica count builds a :class:`ReplicaPool` (one model /
     breaker / metrics / drift monitor per replica).  A watched
-    checkpoint directory gets a :class:`HotReloader` on a pool of one,
-    or else a :class:`CanaryController`: new checkpoints are staged on
-    one canary replica against mirrored live traffic and promoted or
-    rolled back automatically.
+    checkpoint directory gets a :class:`CanaryController` at every pool
+    size: new checkpoints are staged on one canary replica against
+    mirrored live traffic and promoted or rolled back automatically.  A
+    pool that can never spare a canary (one replica, ``min_healthy ==
+    replicas``, or ``canary_mirror=0``) promotes each admitted
+    checkpoint directly.
     """
     from ..experiments import default_config, prepare_dataset
     from ..experiments.runner import _build_plain_model
@@ -199,7 +202,7 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
     # Initial weights: explicit .npz beats checkpoint dir beats random.
     # The pick consults the rollout manifest at every replica count, so
     # a restart after an interrupted canary never boots on an
-    # unpromoted or rolled-back checkpoint.
+    # unpromoted, refused or rolled-back checkpoint.
     manager = None
     manifest_path: Optional[Path] = None
     loaded_epoch: Optional[int] = None
@@ -211,9 +214,9 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
     if checkpoint_dir is not None:
         manager = CheckpointManager(checkpoint_dir)
         manifest_path = Path(manager.directory) / MANIFEST_NAME
-        manifest = RolloutManifest.load(manifest_path)
         if weights is None:
-            loaded = select_initial_checkpoint(manager, manifest)
+            loaded = select_initial_checkpoint(
+                manager, RolloutManifest.load(manifest_path))
             if loaded is not None:
                 checkpoint, path = loaded
                 model.load_state_dict(checkpoint.model_state)
@@ -263,7 +266,7 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
                      "requests")
     version = ("initial" if loaded_epoch is None
                else f"epoch-{loaded_epoch:08d}")
-    # The veto both checkpoint watchers apply before serving new weights.
+    # The veto the checkpoint watcher applies before serving new weights.
     golden = GoldenSet(list(valid_requests(bundle.full.schema,
                                            count=golden_requests)))
 
@@ -334,21 +337,8 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
     notes.append(f"replica pool: {replicas} replicas, "
                  f"min_healthy={min_healthy}, hedge_ms={hedge_ms}")
 
-    # The checkpoint watcher follows the pool size: a canary needs a
-    # spare replica, so a pool of one hot-reloads its only replica.
-    reloader = canary = None
-    if manager is not None and replicas == 1:
-        reloader = HotReloader(services[0], manager, model_factory,
-                               golden=golden, interval_s=reload_interval_s,
-                               bus=bus)
-        reloader._loaded_epoch = loaded_epoch
-        # Checkpoints a pool rolled back stay refused here too.
-        for bad in manifest.bad_paths:
-            try:
-                reloader._bad_paths[bad] = Path(bad).stat().st_mtime
-            except OSError:
-                pass
-    elif manager is not None and (canary_mirror is None or canary_mirror > 0):
+    canary = None
+    if manager is not None:
         policy = (RolloutPolicy() if canary_mirror is None
                   else RolloutPolicy(mirror_fraction=canary_mirror))
         canary = CanaryController(pool, manager, model_factory,
@@ -358,11 +348,12 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
                                   interval_s=reload_interval_s,
                                   bus=bus)
         pool._rollout = canary.rollout_state  # the `rollout` protocol op
-        notes.append(f"canary rollout on (mirror="
-                     f"{policy.mirror_fraction:g})")
-    return ServingStack(service=pool, reloader=reloader,
-                        model_name=model_name, dataset=dataset,
-                        notes=notes, pool=pool, canary=canary)
+        notes.append("checkpoint rollout on (direct promotion, no canary)"
+                     if canary.direct else
+                     f"canary rollout on (mirror={policy.mirror_fraction:g})")
+    return ServingStack(service=pool, model_name=model_name,
+                        dataset=dataset, notes=notes, pool=pool,
+                        canary=canary)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ Scoring has one path: :meth:`PredictionService.predict_batch`.  A
 single request (:meth:`PredictionService.predict`) is a batch of one.
 
 The model reference is swappable under a lock (:meth:`swap_model`),
-which is what the hot reloader uses; in-flight requests finish on the
+which is what checkpoint rollout uses; in-flight requests finish on the
 model they started with.
 """
 

@@ -5,8 +5,8 @@ Two batch-specific contracts ride on top of the regular chaos suite:
 * a batch-level scoring failure feeds the circuit breaker **exactly
   once** — batching must not multiply one fault into ``batch_size``
   breaker strikes;
-* the model/version pair is snapshotted once per batch, so a hot reload
-  landing mid-stream can never mix ``model_version`` values inside one
+* the model/version pair is snapshotted once per batch, so a checkpoint
+  promotion landing mid-stream can never mix ``model_version`` values inside one
   batch's responses.
 """
 
@@ -22,9 +22,10 @@ from repro.models.shallow import LogisticRegression
 from repro.resilience.checkpoint import CheckpointManager
 from repro.serving import (
     BatchRequest,
+    CanaryController,
     CircuitBreaker,
-    HotReloader,
     PredictionService,
+    ReplicaPool,
     STATUS_DEGRADED,
     STATUS_OK,
 )
@@ -131,14 +132,14 @@ class TestReloadAtomicity:
     def test_checkpoint_swapper_stream_never_mixes_versions(self, schema,
                                                             lr_model,
                                                             tmp_path):
-        """Hot reloads from a CheckpointSwapper interleaved with batches:
-        every batch's responses carry exactly one model_version, and the
-        promoted version eventually serves."""
+        """Promotions on a pool of one from a CheckpointSwapper,
+        interleaved with batches: every batch's responses carry exactly
+        one model_version, and the promoted version eventually serves."""
         service = PredictionService(lr_model, schema, prior_ctr=0.3)
         manager = CheckpointManager(tmp_path)
         swapper = CheckpointSwapper(manager)
-        reloader = HotReloader(
-            service, manager,
+        watcher = CanaryController(
+            ReplicaPool([service]), manager,
             model_factory=lambda: LogisticRegression(
                 schema.cardinalities, rng=np.random.default_rng(0)))
 
@@ -146,7 +147,7 @@ class TestReloadAtomicity:
         for step in range(6):
             if step in (2, 4):
                 swapper.write_valid(lr_model)
-                assert reloader.poll_once()
+                assert watcher.poll_once()
             responses = service.predict_batch(batch_of(schema, 8))
             versions = {r.model_version for r in responses}
             assert len(versions) == 1, "a batch mixed model versions"
@@ -161,12 +162,12 @@ class TestReloadAtomicity:
         service = PredictionService(lr_model, schema, prior_ctr=0.3)
         manager = CheckpointManager(tmp_path)
         swapper = CheckpointSwapper(manager)
-        reloader = HotReloader(
-            service, manager,
+        watcher = CanaryController(
+            ReplicaPool([service]), manager,
             model_factory=lambda: LogisticRegression(
                 schema.cardinalities, rng=np.random.default_rng(0)))
         swapper.write_corrupt()
-        assert not reloader.poll_once()
+        assert not watcher.poll_once()
         responses = service.predict_batch(batch_of(schema, 8))
         assert all(r.status == STATUS_OK for r in responses)
         assert {r.model_version for r in responses} == {"initial"}

@@ -17,9 +17,10 @@ from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import InjectedCrash
 from repro.serving import (
     BoundedRequestQueue,
+    CanaryController,
     CircuitBreaker,
-    HotReloader,
     PredictionService,
+    ReplicaPool,
     STATUS_DEGRADED,
     STATUS_INVALID,
     STATUS_OK,
@@ -96,8 +97,8 @@ class TestCorruptCheckpointChaos:
         bus, sink = mem_sink
         service = make_service()
         manager = CheckpointManager(tmp_path / "ckpts")
-        reloader = HotReloader(
-            service, manager,
+        watcher = CanaryController(
+            ReplicaPool([service]), manager,
             lambda: LogisticRegression(schema.cardinalities,
                                        rng=np.random.default_rng(123)),
             bus=bus, sleep=lambda _d: None)
@@ -105,11 +106,11 @@ class TestCorruptCheckpointChaos:
 
         assert service.predict({"field_0": 1}).status == STATUS_OK
         swapper.write_corrupt("truncated")
-        reloader.poll_once()
+        watcher.poll_once()
         assert service.predict({"field_0": 1}).status == STATUS_OK
         assert service.model_version == "initial"
-        event, = sink.of_type("reload")
-        assert event.payload["status"] == "corrupt"
+        assert [e.payload["status"] for e in sink.of_type("rollout")] == \
+            ["detected", "corrupt"]
 
 
 class TestOverloadChaos:

@@ -24,7 +24,7 @@ REQ = {"field_0": 1, "field_1": 2, "field_2": 3}
 def make_server(make_service, lr_model, *, delay_s=0.0, **server_kwargs):
     model = SlowModel(lr_model, delay_s) if delay_s else lr_model
     pool = ReplicaPool([make_service(model=model)])
-    stack = ServingStack(service=pool, reloader=None,
+    stack = ServingStack(service=pool,
                          model_name="lr", dataset="test", pool=pool)
     server = SocketServer(stack, **server_kwargs)
     host, port = server.start()

@@ -185,9 +185,9 @@ class TestPoolOfOneParity:
                          "request_id": "bad"})
 
         pool = ReplicaPool([make_service()], hedge_ms=0.0)
-        stacks = [ServingStack(service=make_service(), reloader=None,
+        stacks = [ServingStack(service=make_service(),
                                model_name="lr", dataset="test"),
-                  ServingStack(service=pool, reloader=None, model_name="lr",
+                  ServingStack(service=pool, model_name="lr",
                                dataset="test", pool=pool)]
         answers = []
         for stack in stacks:

@@ -1,12 +1,22 @@
-"""Hot reload: promotion, corruption rollback, golden-set vetoes."""
+"""Checkpoint rollout on a pool of one: direct promotion, refusals,
+golden-set vetoes.
+
+A pool with no spare replica for a canary promotes each admitted
+checkpoint straight away; these tests drive that path through
+:class:`CanaryController` on a one-replica :class:`ReplicaPool`.
+"""
 
 import numpy as np
 import pytest
 
 from repro.models.shallow import LogisticRegression
 from repro.resilience.checkpoint import CheckpointManager
-from repro.serving import GoldenSet, HotReloader
+from repro.serving import GoldenSet, ReplicaPool
 from repro.serving.faults import CheckpointSwapper
+from repro.serving.rollout import CanaryController
+
+#: The rollout events one direct promotion emits, in order.
+PROMOTED = ["detected", "promoting", "promoted_replica", "promoted"]
 
 
 @pytest.fixture
@@ -19,96 +29,106 @@ def swapper(manager):
     return CheckpointSwapper(manager)
 
 
+def watch_one(service, manager, factory, **kwargs):
+    """The checkpoint watcher on a pool of one over ``service``."""
+    return CanaryController(ReplicaPool([service]), manager, factory,
+                            sleep=lambda _d: None, **kwargs)
+
+
+def statuses(sink):
+    return [e.payload["status"] for e in sink.of_type("rollout")]
+
+
 @pytest.fixture
 def reload_stack(schema, make_service, manager, mem_sink):
-    """(service, reloader, sink) with a deterministic model factory."""
-    _, sink = mem_sink
-    bus, _ = mem_sink
+    """(service, watcher, sink) with a deterministic model factory."""
+    bus, sink = mem_sink
     service = make_service()
 
     def factory():
         return LogisticRegression(schema.cardinalities,
                                   rng=np.random.default_rng(123))
 
-    reloader = HotReloader(service, manager, factory, bus=bus,
-                           sleep=lambda _d: None)
-    return service, reloader, sink
+    return service, watch_one(service, manager, factory, bus=bus), sink
 
 
 class TestPromotion:
     def test_empty_directory_is_a_noop(self, reload_stack):
-        service, reloader, _ = reload_stack
-        assert reloader.poll_once() is False
+        service, watcher, _ = reload_stack
+        assert watcher.poll_once() is False
         assert service.model_version == "initial"
 
     def test_valid_checkpoint_promotes(self, schema, reload_stack, swapper):
-        service, reloader, sink = reload_stack
+        service, watcher, sink = reload_stack
         new_model = LogisticRegression(schema.cardinalities,
                                        rng=np.random.default_rng(77))
         swapper.write_valid(new_model)
         old_ref = service.model
 
-        assert reloader.poll_once() is True
+        assert watcher.poll_once() is True
         assert service.model_version == "epoch-00000001"
         assert service.model is not old_ref  # fresh instance, atomic swap
-        event, = sink.of_type("reload")
-        assert event.payload["status"] == "ok"
-        assert event.payload["previous_version"] == "initial"
+        assert statuses(sink) == PROMOTED
+        assert sink.of_type("rollout")[-1].payload["version"] == \
+            "epoch-00000001"
+        assert watcher.stage == "idle"  # no canary: promoted directly
 
     def test_promoted_weights_match_the_checkpoint(self, schema,
                                                    reload_stack, swapper):
-        service, reloader, _ = reload_stack
+        service, watcher, _ = reload_stack
         new_model = LogisticRegression(schema.cardinalities,
                                        rng=np.random.default_rng(77))
         swapper.write_valid(new_model)
-        reloader.poll_once()
+        watcher.poll_once()
         for name, value in new_model.state_dict().items():
             np.testing.assert_array_equal(
                 service.model.state_dict()[name], value)
 
     def test_older_epochs_are_not_reloaded(self, schema, reload_stack,
                                            swapper):
-        service, reloader, _ = reload_stack
+        service, watcher, _ = reload_stack
         swapper.write_valid(service.model)
-        reloader.poll_once()
-        assert reloader.poll_once() is False  # same epoch, nothing newer
+        watcher.poll_once()
+        assert watcher.poll_once() is False  # same epoch, nothing newer
 
     def test_in_flight_traffic_survives_a_swap(self, reload_stack, swapper):
-        service, reloader, _ = reload_stack
+        service, watcher, _ = reload_stack
         assert service.predict({"field_0": 1}).status == "ok"
         swapper.write_valid(service.model)
-        reloader.poll_once()
+        watcher.poll_once()
         assert service.predict({"field_0": 1}).status == "ok"
 
 
 class TestRollback:
     @pytest.mark.parametrize("kind", ["truncated", "garbage"])
     def test_corrupt_checkpoint_rolls_back(self, reload_stack, swapper, kind):
-        service, reloader, sink = reload_stack
+        service, watcher, sink = reload_stack
         swapper.write_corrupt(kind)
-        assert reloader.poll_once() is False
+        assert watcher.poll_once() is False
         assert service.model_version == "initial"
-        event, = sink.of_type("reload")
-        assert event.payload["status"] == "corrupt"
+        assert statuses(sink) == ["detected", "corrupt"]
 
     def test_bad_file_is_not_retried_every_poll(self, reload_stack, swapper):
-        service, reloader, sink = reload_stack
+        service, watcher, sink = reload_stack
         swapper.write_corrupt("truncated")
-        reloader.poll_once()
-        reloader.poll_once()
-        reloader.poll_once()
-        assert len(sink.of_type("reload")) == 1  # remembered as bad
+        watcher.poll_once()
+        watcher.poll_once()
+        watcher.poll_once()
+        # Remembered as bad in the manifest, with the file's mtime.
+        assert statuses(sink) == ["detected", "corrupt"]
+        entry, = watcher.manifest.bad_paths.values()
+        assert entry["mtime"] is not None
 
     def test_rewritten_bad_file_gets_a_fresh_chance(self, schema,
                                                     reload_stack, swapper,
                                                     manager):
         import os
 
-        service, reloader, _ = reload_stack
+        service, watcher, _ = reload_stack
         path = swapper.write_corrupt("truncated")
-        reloader.poll_once()
+        watcher.poll_once()
         # Replace the corrupt file with a valid checkpoint at the same
-        # epoch and bump its mtime: the reloader must try again.
+        # epoch and bump its mtime: the watcher must try again.
         good = LogisticRegression(schema.cardinalities,
                                   rng=np.random.default_rng(5))
         from repro.nn.optim import SGD
@@ -119,17 +139,18 @@ class TestRollback:
         manager.save(checkpoint)
         stat = os.stat(path)
         os.utime(path, (stat.st_atime, stat.st_mtime + 10))
-        assert reloader.poll_once() is True
+        assert watcher.poll_once() is True
         assert service.model_version == "epoch-00000001"
+        # Promoted, so no longer bad: a restart may boot on it.
+        assert str(path) not in watcher.manifest.bad_paths
 
     def test_architecture_mismatch_rolls_back(self, reload_stack, manager):
-        service, reloader, sink = reload_stack
+        service, watcher, sink = reload_stack
         wrong = LogisticRegression([3, 3], rng=np.random.default_rng(0))
         CheckpointSwapper(manager).write_valid(wrong)
-        assert reloader.poll_once() is False
+        assert watcher.poll_once() is False
         assert service.model_version == "initial"
-        event, = sink.of_type("reload")
-        assert event.payload["status"] == "corrupt"
+        assert statuses(sink) == ["detected", "corrupt"]
 
 
 class TestGoldenSet:
@@ -160,12 +181,11 @@ class TestGoldenSet:
 
         golden = GoldenSet([{"field_0": 1}], expected=[0.999],
                            tolerance=1e-6)
-        reloader = HotReloader(service, manager, factory, golden=golden,
-                               sleep=lambda _d: None)
+        watcher = watch_one(service, manager, factory, golden=golden)
         swapper.write_valid(service.model)
-        assert reloader.poll_once() is False
+        assert watcher.poll_once() is False
         assert service.model_version == "initial"
-        assert service.metrics.counter("serve.reload.golden_failed").value == 1
+        assert watcher.metrics.counter("rollout.golden_failed").value == 1
 
     def test_mismatched_expected_length_rejected(self):
         with pytest.raises(ValueError):
@@ -224,7 +244,7 @@ class TestConcurrentSwap:
 
         from repro.serving import BatchRequest
 
-        service, reloader, _ = reload_stack
+        service, watcher, _ = reload_stack
         requests = [BatchRequest(features={"field_0": i % 4,
                                            "field_1": i % 3,
                                            "field_2": i % 5})
@@ -250,7 +270,7 @@ class TestConcurrentSwap:
                     swapper.write_valid(LogisticRegression(
                         schema.cardinalities,
                         rng=np.random.default_rng(77)))
-                    assert reloader.poll_once() is True
+                    assert watcher.poll_once() is True
                 except Exception as exc:  # noqa: BLE001 — fail the test
                     swap_errors.append(exc)
                     return
@@ -300,13 +320,13 @@ class TestConcurrentSwap:
                                                       swapper):
         import threading
 
-        service, reloader, _ = reload_stack
+        service, watcher, _ = reload_stack
         stop = threading.Event()
 
         def churn():
             while not stop.is_set():
                 swapper.write_valid(service.model)
-                reloader.poll_once()
+                watcher.poll_once()
 
         churner = threading.Thread(target=churn)
         churner.start()
@@ -323,9 +343,9 @@ class TestConcurrentSwap:
 class TestBackgroundThread:
     def test_start_stop_polls_in_the_background(self, schema, reload_stack,
                                                 swapper):
-        service, reloader, _ = reload_stack
-        reloader.interval_s = 0.02
-        reloader.start()
+        service, watcher, _ = reload_stack
+        watcher.interval_s = 0.02
+        watcher.poller.start()
         try:
             swapper.write_valid(
                 LogisticRegression(schema.cardinalities,
@@ -337,40 +357,45 @@ class TestBackgroundThread:
                    and time.monotonic() < deadline):
                 time.sleep(0.02)
         finally:
-            reloader.stop()
+            watcher.poller.stop()
         assert service.model_version == "epoch-00000001"
-        assert not reloader.poller.running
+        assert not watcher.poller.running
 
 
 class TestReloadSpans:
     def test_idle_poll_emits_no_span(self, reload_stack):
         from repro.obs.tracing import spans_from_events
 
-        _, reloader, sink = reload_stack
-        reloader.poll_once()
+        _, watcher, sink = reload_stack
+        watcher.poll_once()
         assert spans_from_events(sink.events) == []
 
     def test_promotion_emits_serve_reload_span(self, schema, reload_stack,
                                                swapper):
+        """A direct promotion traces as a ``serve.rollout`` detect span
+        with the promote span inside it."""
         from repro.obs.tracing import spans_from_events
 
-        _, reloader, sink = reload_stack
+        _, watcher, sink = reload_stack
         swapper.write_valid(LogisticRegression(schema.cardinalities,
                                                rng=np.random.default_rng(7)))
-        assert reloader.poll_once() is True
-        (span,) = spans_from_events(sink.events)
-        assert span.name == "serve.reload"
-        assert span.attrs["promoted"] is True
-        assert span.attrs["outcome"] == "ok"
-        assert span.attrs["version"] == "epoch-00000001"
+        assert watcher.poll_once() is True
+        spans = {span.attrs["stage"]: span
+                 for span in spans_from_events(sink.events)}
+        assert sorted(spans) == ["detect", "promote"]
+        assert {span.name for span in spans.values()} == {"serve.rollout"}
+        assert spans["promote"].parent_id == spans["detect"].span_id
+        assert spans["detect"].attrs["outcome"] == "promoted"
+        assert spans["promote"].attrs["outcome"] == "promoted"
+        assert spans["promote"].attrs["epoch"] == 1
 
     def test_corrupt_checkpoint_span_marks_outcome(self, reload_stack,
                                                    swapper):
         from repro.obs.tracing import spans_from_events
 
-        _, reloader, sink = reload_stack
+        _, watcher, sink = reload_stack
         swapper.write_corrupt()
-        assert reloader.poll_once() is False
+        assert watcher.poll_once() is False
         (span,) = spans_from_events(sink.events)
-        assert span.attrs["promoted"] is False
-        assert span.attrs["outcome"] == "corrupt"
+        assert span.name == "serve.rollout"
+        assert span.attrs["outcome"] == "refused"

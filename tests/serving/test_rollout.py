@@ -117,7 +117,9 @@ class TestDetectAndStage:
     def test_floor_defers_canary_until_capacity(self, schema, make_rollout,
                                                 swapper):
         pool, controller = make_rollout(n=2)
-        pool.min_healthy = 2  # no spare replica for canary duty
+        # A spare at construction, none right now: the canary waits
+        # rather than falling back to direct promotion.
+        pool.min_healthy = 2
         swapper.write_valid(LogisticRegression(
             schema.cardinalities, rng=np.random.default_rng(7)))
         assert controller.poll_once() is False
@@ -271,6 +273,25 @@ class TestManifest:
         assert "y.npz" in loaded.bad_paths
         assert loaded.data["history"][-1]["event"] == "rolled_back"
 
+    def test_bad_entry_keys_on_mtime_when_it_has_one(self, tmp_path):
+        """A refusal with an mtime lapses once the file is rewritten; an
+        entry without one (an older manifest) stays bad by path."""
+        import os
+
+        path = tmp_path / "ckpt.npz"
+        path.write_bytes(b"x")
+        manifest = RolloutManifest(tmp_path / "rollout.json")
+        manifest.mark_bad(str(path), 1, "corrupt", path.stat().st_mtime)
+        manifest.save()
+        loaded = RolloutManifest.load(tmp_path / "rollout.json")
+        assert loaded.is_bad(path)
+        stat = path.stat()
+        os.utime(path, (stat.st_atime, stat.st_mtime + 10))
+        assert not loaded.is_bad(path)
+        loaded.mark_bad(str(path), 1, "rolled back")
+        assert loaded.is_bad(path)
+        assert not loaded.is_bad(tmp_path / "other.npz")
+
     def test_garbage_manifest_file_resets_cleanly(self, tmp_path):
         path = tmp_path / "rollout.json"
         path.write_text("{not json")
@@ -385,6 +406,96 @@ class TestSingleInstanceHonoursManifest:
         assert stack.service.model_version == "epoch-00000001"
         stack.poll_inline()
         assert stack.service.model_version == "epoch-00000001"
+
+
+class TestOneWatcherAtEveryPoolSize:
+    """Every pool size watches checkpoints with one CanaryController; a
+    pool with no spare replica promotes without a canary."""
+
+    @staticmethod
+    def _stack(ckpt_dir, **kwargs):
+        from repro.serving.server import build_serving_stack
+
+        return build_serving_stack("LR", "criteo", "quick", samples=2000,
+                                   checkpoint_dir=ckpt_dir, **kwargs)
+
+    @staticmethod
+    def _model(stack):
+        return stack.service.replicas[0].service.model
+
+    def test_refused_checkpoint_is_not_booted_after_restart(self, tmp_path):
+        """A pool of one records its refusals in the manifest, so a
+        restart on the same directory does not boot on them."""
+        ckpt_dir = tmp_path / "ckpts"
+        stack = self._stack(ckpt_dir)
+        path = PoisonedCheckpoint(CheckpointManager(ckpt_dir)).write(
+            self._model(stack), kind="nan")
+        stack.poll_inline()
+        assert stack.service.model_version == "initial"
+
+        restarted = self._stack(ckpt_dir)
+        assert restarted.service.model_version == "initial"
+        assert restarted.service.predict({"field_0": 1}).status == "ok"
+        restarted.poll_inline()
+        assert restarted.service.model_version == "initial"
+        assert path in restarted.canary.manifest.bad_paths
+
+    def test_full_floor_promotes_directly(self, tmp_path):
+        """``min_healthy == replicas`` can never spare a canary: one poll
+        promotes every replica, and later polls detect nothing new."""
+        ckpt_dir = tmp_path / "ckpts"
+        stack = self._stack(ckpt_dir, replicas=2, min_healthy=2)
+        CheckpointSwapper(CheckpointManager(ckpt_dir)).write_valid(
+            self._model(stack))
+        stack.poll_inline()
+        assert [r.service.model_version for r in stack.service.replicas] \
+            == ["epoch-00000001"] * 2
+        for _ in range(5):
+            stack.poll_inline()
+        metrics = stack.canary.metrics
+        assert metrics.counter("rollout.detected").value == 1
+        assert metrics.counter("rollout.canary_unavailable").value == 0
+
+    def test_canary_mirror_zero_promotes_without_a_canary(self, tmp_path,
+                                                          mem_sink):
+        bus, sink = mem_sink
+        ckpt_dir = tmp_path / "ckpts"
+        stack = self._stack(ckpt_dir, replicas=3, canary_mirror=0, bus=bus)
+        CheckpointSwapper(CheckpointManager(ckpt_dir)).write_valid(
+            self._model(stack))
+        stack.poll_inline()
+        assert [r.service.model_version for r in stack.service.replicas] \
+            == ["epoch-00000001"] * 3
+        assert stack.pool._mirror is None  # no mirroring, no hook
+        statuses = [e.payload["status"] for e in sink.of_type("rollout")]
+        assert "canary_loaded" not in statuses
+        assert statuses[-1] == "promoted"
+        assert not [e for e in sink.of_type("replica")
+                    if e.payload["status"] == "canary_start"]
+
+    def test_pool_of_one_reports_rollout(self, tmp_path):
+        """The visible change at ``--replicas 1``: the ``rollout`` op
+        answers, and ``rollout.json`` records each promotion."""
+        from repro.serving.server import handle_request_line
+
+        ckpt_dir = tmp_path / "ckpts"
+        stack = self._stack(ckpt_dir)
+        assert stack.canary.direct
+        assert stack.pool._mirror is None
+        CheckpointSwapper(CheckpointManager(ckpt_dir)).write_valid(
+            self._model(stack))
+        stack.poll_inline()
+        state, _ = handle_request_line('{"op": "rollout"}', stack.service)
+        assert state["stage"] == STAGE_IDLE
+        assert state["promotions"] == 1
+        assert state["current_epoch"] == 1
+        on_disk = json.loads((ckpt_dir / MANIFEST_NAME).read_text())
+        assert on_disk["promotions"] == 1
+
+    def test_spare_replica_still_canaries(self, tmp_path):
+        stack = self._stack(tmp_path / "ckpts", replicas=2)
+        assert not stack.canary.direct
+        assert stack.pool._mirror is not None
 
 
 class TestBootBuildsEachModelOnce:

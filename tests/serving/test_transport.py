@@ -53,7 +53,7 @@ class RecordingServer(SocketServer):
 
 
 def make_server(make_service, server_cls=SocketServer, **kwargs):
-    stack = ServingStack(service=make_service(), reloader=None,
+    stack = ServingStack(service=make_service(),
                          model_name="lr", dataset="test")
     server = server_cls(stack, **kwargs)
     host, port = server.start()
@@ -218,7 +218,7 @@ class CountingText(io.StringIO):
 
 class TestStdioWrites:
     def stack(self, make_service):
-        return ServingStack(service=make_service(), reloader=None,
+        return ServingStack(service=make_service(),
                             model_name="lr", dataset="test")
 
     def test_one_write_per_batch_in_input_order(self, make_service):

@@ -1,6 +1,8 @@
-"""The hot reloader and the canary controller refuse checkpoints alike.
+"""A pool of one and a canary pool refuse checkpoints alike.
 
-Both admit a checkpoint through the same read → verify → load → golden
+The checkpoint watcher promotes directly on a pool of one (no spare
+replica for a canary) and through a canary on a larger pool.  Both
+admit a checkpoint through the same read → verify → load → golden
 sequence, so every fault must yield the same event status from both,
 leave what users are served untouched, and only a persistent read error
 may be tried again on the next poll.
@@ -14,8 +16,8 @@ import pytest
 
 from repro.models.shallow import LogisticRegression
 from repro.resilience.checkpoint import CheckpointManager
-from repro.serving import (GoldenSet, HotReloader, REPLICA_HEALTHY,
-                           ReplicaPool, RolloutPolicy)
+from repro.serving import (GoldenSet, REPLICA_HEALTHY, ReplicaPool,
+                           RolloutPolicy)
 from repro.serving.faults import (CheckpointSwapper, PoisonedCheckpoint,
                                   valid_requests)
 from repro.serving.rollout import CanaryController
@@ -36,15 +38,18 @@ def _lr(cardinalities, seed):
     return LogisticRegression(cardinalities, rng=np.random.default_rng(seed))
 
 
-def build_reloader(schema, make_service, manager, bus, golden):
+def build_pool_of_one(schema, make_service, manager, bus, golden):
+    """A pool of one: admitted checkpoints are promoted directly."""
     service = make_service()
-    reloader = HotReloader(service, manager,
-                           lambda: _lr(schema.cardinalities, 123),
-                           golden=golden, bus=bus, sleep=lambda _d: None)
-    return SimpleNamespace(poll=reloader.poll_once, event="reload",
+    pool = ReplicaPool([service], bus=bus)
+    controller = CanaryController(
+        pool, manager, lambda: _lr(schema.cardinalities, 123),
+        golden=golden, bus=bus, sleep=lambda _d: None)
+    return SimpleNamespace(poll=controller.poll_once,
                            services=[service],
-                           version=lambda: service.model_version,
-                           admitted="ok", pool=None)
+                           version=lambda: pool.model_version,
+                           admitted=["promoting", "promoted_replica",
+                                     "promoted"], pool=pool)
 
 
 def build_canary(schema, make_service, manager, bus, golden):
@@ -56,14 +61,14 @@ def build_canary(schema, make_service, manager, bus, golden):
         golden=golden,
         policy=RolloutPolicy(mirror_fraction=1.0, min_mirrored=8),
         bus=bus, sleep=lambda _d: None)
-    return SimpleNamespace(poll=controller.poll_once, event="rollout",
+    return SimpleNamespace(poll=controller.poll_once,
                            services=services,
                            version=lambda: pool.model_version,
-                           admitted="canary_loaded", pool=pool)
+                           admitted=["canary_loaded"], pool=pool)
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
-@pytest.mark.parametrize("build", [build_reloader, build_canary],
+@pytest.mark.parametrize("build", [build_pool_of_one, build_canary],
                          ids=["reloader", "canary"])
 def test_watchers_refuse_alike(fault, build, schema, make_service, mem_sink,
                                tmp_path, monkeypatch):
@@ -96,30 +101,29 @@ def test_watchers_refuse_alike(fault, build, schema, make_service, mem_sink,
         monkeypatch.setattr(Path, "read_bytes", flaky_read_bytes)
 
     def statuses():
-        return [e.payload["status"] for e in sink.of_type(watcher.event)
+        return [e.payload["status"] for e in sink.of_type("rollout")
                 if e.payload["status"] not in ("detected", "io_retry")]
 
     def io_retries():
-        return [e for e in sink.of_type(watcher.event)
+        return [e for e in sink.of_type("rollout")
                 if e.payload["status"] == "io_retry"]
 
     expected = FAULTS[fault]
     watcher.poll()
     if expected is None:
-        assert statuses() == [watcher.admitted]
+        assert statuses() == watcher.admitted
         assert len(io_retries()) == 1
     else:
         assert statuses() == [expected]
         assert watcher.version() == "initial"
         assert all(service.model is model
                    for service, model in zip(watcher.services, models))
-        if watcher.pool is not None:
-            assert all(r.state == REPLICA_HEALTHY
-                       for r in watcher.pool.replicas)
+        assert all(r.state == REPLICA_HEALTHY
+                   for r in watcher.pool.replicas)
     if fault == "persistent_oserror":
         assert len(io_retries()) == 3  # the whole retry budget was spent
 
-    emitted = len(sink.of_type(watcher.event))
+    emitted = len(sink.of_type("rollout"))
     watcher.poll()
-    retried = len(sink.of_type(watcher.event)) > emitted
+    retried = len(sink.of_type("rollout")) > emitted
     assert retried == (fault == "persistent_oserror")
