@@ -679,10 +679,6 @@ class ChunkedIngestor:
             self._emit("schema", missing=missing, extra=extra,
                        reordered=self.report.schema_reordered)
 
-    def _reconcile_headerless(self) -> None:
-        names = list(self.config.column_names)
-        self._reconcile_header_from_names(names)
-
     def _reconcile_header_from_names(self, names: List[str]) -> None:
         seen = {name: index for index, name in enumerate(names)}
         if len(seen) != len(names):
@@ -699,7 +695,7 @@ class ChunkedIngestor:
     def _read_header(self, reader: _ResilientLineReader) -> None:
         """Consume + reconcile the header (or apply declared names)."""
         if not self.config.header:
-            self._reconcile_headerless()
+            self._reconcile_header_from_names(list(self.config.column_names))
             self._data_offset = 0
             return
         raw = reader.readline()
@@ -846,8 +842,6 @@ class ChunkedIngestor:
     # -- the run ----------------------------------------------------------
     def run(self) -> IngestResult:
         """Execute (or resume) the full ingest; see module docstring."""
-        from ..resilience.checkpoint import read_archive, write_archive
-
         if not self.path.exists():
             raise FileNotFoundError(f"no data file at {self.path}")
         config = self.config
@@ -870,8 +864,7 @@ class ChunkedIngestor:
                                   resumed=resumed):
                 self._emit("run_start", path=str(self.path),
                            resumed=resumed, on_error=config.on_error)
-                result = self._run_stages(reader, manifest,
-                                          read_archive, write_archive)
+                result = self._run_stages(reader, manifest)
                 self._emit("run_end", rows_ok=self.report.rows_ok,
                            rows_quarantined=self.report.rows_quarantined,
                            chunks=self.report.chunks)
@@ -886,173 +879,147 @@ class ChunkedIngestor:
         self._count("ingest.retries")
         self._emit("io_retry", attempt=attempt, error=str(error))
 
-    def _run_stages(self, reader: _ResilientLineReader,
-                    manifest: Optional[Dict[str, Any]],
-                    read_archive, write_archive) -> IngestResult:
-        config = self.config
-        workdir = self.workdir
+    def _progress(self, manifest: Optional[Dict[str, Any]],
+                  key: str) -> Dict[str, Any]:
+        """One pass's ``{chunks, offset, line, done}`` from the manifest;
+        a pass with no saved progress starts at the first data line."""
+        saved = (manifest or {}).get(key, {})
+        return {"chunks": int(saved.get("chunks", 0)),
+                "offset": int(saved.get("offset", self._data_offset)),
+                "line": int(saved.get("line", 1 if self.config.header else 0)),
+                "done": bool(saved.get("done", False))}
 
-        # ---- stage 1: accumulate fit statistics ------------------------
+    def _stage(self, reader: _ResilientLineReader, name: str,
+               progress: Dict[str, Any],
+               work: Callable[[np.ndarray, Columns], None],
+               save: Callable[[Dict[str, Any]], None]) -> Dict[str, Any]:
+        """Run one pass (``"fit"`` or ``"encode"``) from ``progress`` to
+        EOF and return its final progress; a pass already done is skipped.
+
+        Each chunk's valid rows go to ``work(y, columns)``.  Only the fit
+        pass collects row errors: the encode pass re-reads the lines the
+        fit pass accounted for, and validation is deterministic, so its
+        bad rows are dropped silently.  With a workdir, ``save(progress)``
+        makes each chunk durable before ``on_chunk`` fires, and runs once
+        more with ``done`` set when the pass ends.
+        """
+        if progress["done"]:
+            return progress
+        for chunk in self._iter_chunks(reader,
+                                       start_offset=progress["offset"],
+                                       start_line=progress["line"],
+                                       start_chunk=progress["chunks"]):
+            with self.tracer.span("ingest.chunk", stage=name,
+                                  index=chunk.index) as span:
+                y, columns = self._validate_chunk(
+                    chunk, collect_errors=name == "fit")
+                span.set_attr("rows", len(y))
+                work(y, columns)
+            self.report.chunks += 1
+            self._count("ingest.chunks")
+            self.metrics.gauge("ingest.offset_bytes").set(chunk.end_offset)
+            progress = {"chunks": chunk.index + 1, "offset": chunk.end_offset,
+                        "line": chunk.end_line, "done": False}
+            if self.workdir is not None:
+                save(progress)
+            if self.on_chunk is not None:
+                self.on_chunk(name, chunk.index)
+        progress = dict(progress, done=True)
+        if self.workdir is not None:
+            save(progress)
+        if name == "fit":
+            self._emit("stage_end", stage=1, rows_ok=self.report.rows_ok)
+        else:
+            self._emit("stage_end", stage=2, chunks=progress["chunks"])
+        return progress
+
+    def _run_stages(self, reader: _ResilientLineReader,
+                    manifest: Optional[Dict[str, Any]]) -> IngestResult:
+        from ..resilience.checkpoint import read_archive, write_archive
+
+        workdir = self.workdir
         self._read_header(reader)
-        pipeline = config.pipeline()
+        pipeline = self.config.pipeline()
         sketches = pipeline._field_sketches()
         labels = LabelSketch()
-
-        stage1_done = False
-        offset, line = self._data_offset, 1 if config.header else 0
-        next_chunk = 0
-        if manifest is not None:
-            self._restore_accounting(manifest)
-            stage1 = manifest.get("stage1", {})
-            if stage1.get("chunks", 0) > 0 or stage1.get("done"):
-                arrays, meta = read_archive(workdir / _STAGE1_NAME)
-                sketches, labels = self._sketches_from_state(
-                    arrays, meta["sketches"])
-                offset = int(stage1.get("offset", offset))
-                line = int(stage1.get("line", line))
-                next_chunk = int(stage1.get("chunks", 0))
-                stage1_done = bool(stage1.get("done", False))
-                self.report.chunks_resumed += next_chunk
-                self._count("ingest.resumed_chunks", next_chunk)
-            self._truncate_quarantine(int(manifest.get("quarantine_lines",
-                                                       0)))
-            self._emit("resume", stage=1 if not stage1_done else 2,
-                       chunks_done=next_chunk)
-        self._open_quarantine(append=manifest is not None)
-
-        stage1_state = {"chunks": next_chunk, "offset": offset,
-                        "line": line, "done": stage1_done}
-        if not stage1_done:
-            for chunk in self._iter_chunks(reader, start_offset=offset,
-                                           start_line=line,
-                                           start_chunk=next_chunk):
-                with self.tracer.span("ingest.chunk", stage="fit",
-                                      index=chunk.index) as span:
-                    y, columns = self._validate_chunk(chunk,
-                                                      collect_errors=True)
-                    span.set_attr("rows", len(y))
-                    self._observe_fit_chunk(y, columns, pipeline, sketches,
-                                            labels)
-                self.report.chunks += 1
-                self._count("ingest.chunks")
-                self.metrics.gauge("ingest.offset_bytes").set(
-                    chunk.end_offset)
-                stage1_state = {"chunks": chunk.index + 1,
-                                "offset": chunk.end_offset,
-                                "line": chunk.end_line, "done": False}
-                if workdir is not None:
-                    self._flush_quarantine()
-                    arrays, sketch_meta = self._sketch_state(sketches,
-                                                             labels)
-                    write_archive(workdir / _STAGE1_NAME, arrays,
-                                  {"sketches": sketch_meta,
-                                   "progress": stage1_state})
-                    self._write_manifest({"stage1": stage1_state,
-                                          "stage2": {"chunks": 0,
-                                                     "done": False}})
-                if self.on_chunk is not None:
-                    self.on_chunk("fit", chunk.index)
-            stage1_state["done"] = True
-            if workdir is not None:
-                arrays, sketch_meta = self._sketch_state(sketches, labels)
-                write_archive(workdir / _STAGE1_NAME, arrays,
-                              {"sketches": sketch_meta,
-                               "progress": stage1_state})
-                self._write_manifest({"stage1": stage1_state,
-                                      "stage2": {"chunks": 0,
-                                                 "done": False}})
-            self._emit("stage_end", stage=1,
-                       rows_ok=self.report.rows_ok)
-
-        if labels.total == 0 or self.report.rows_ok == 0:
-            raise IngestError("no valid rows in input", path=self.path)
-
-        cross_sketch = pipeline._fit_sketches(sketches, labels)
-
-        # ---- stage 2: encode + cross statistics ------------------------
         x_chunks: List[np.ndarray] = []
         y_chunks: List[np.ndarray] = []
 
-        offset, line = self._data_offset, 1 if config.header else 0
-        next_chunk = 0
-        stage2_done = False
+        # ---- resume: both passes' progress, checked before any data line
+        fit = self._progress(manifest, "stage1")
+        encode = self._progress(manifest, "stage2")
         if manifest is not None:
-            stage2 = manifest.get("stage2", {})
-            completed = int(stage2.get("chunks", 0))
-            if completed and not manifest.get("stage1", {}).get("done"):
+            if encode["chunks"] and not fit["done"]:
                 raise ResumeError("manifest has stage-2 progress without a "
                                   "complete stage 1", path=self.path)
-            for index in range(completed):
-                arrays, meta = read_archive(
+            self._restore_accounting(manifest)
+            if fit["chunks"] or fit["done"]:
+                arrays, meta = read_archive(workdir / _STAGE1_NAME)
+                sketches, labels = self._sketches_from_state(
+                    arrays, meta["sketches"])
+            for index in range(encode["chunks"]):
+                arrays, _ = read_archive(
                     workdir / _CHUNK_TEMPLATE.format(index=index))
                 x_chunks.append(arrays["x"].astype(np.int64, copy=False))
                 y_chunks.append(arrays["y"].astype(np.float64, copy=False))
-                if cross_sketch is not None and len(x_chunks[-1]):
-                    cross_sketch.update(x_chunks[-1])
-            if completed:
-                stage2 = dict(stage2)
-                offset = int(stage2.get("offset", offset))
-                line = int(stage2.get("line", line))
-                next_chunk = completed
-                self.report.chunks_resumed += completed
-                self._count("ingest.resumed_chunks", completed)
-            stage2_done = bool(stage2.get("done", False))
+            resumed = fit["chunks"] + encode["chunks"]
+            self.report.chunks_resumed += resumed
+            self._count("ingest.resumed_chunks", resumed)
+            self._truncate_quarantine(int(manifest.get("quarantine_lines",
+                                                       0)))
+            self._emit("resume", stage=2 if fit["done"] else 1,
+                       chunks_done=fit["chunks"])
+        self._open_quarantine(append=manifest is not None)
 
-        stage2_state = {"chunks": next_chunk, "offset": offset,
-                        "line": line, "done": stage2_done}
-        if not stage2_done:
-            for chunk in self._iter_chunks(reader, start_offset=offset,
-                                           start_line=line,
-                                           start_chunk=next_chunk):
-                # Stage 2 re-reads the bytes stage 1 accounted for;
-                # validation is deterministic, so its bad rows are
-                # dropped silently here.
-                with self.tracer.span("ingest.chunk", stage="encode",
-                                      index=chunk.index) as span:
-                    y, columns = self._validate_chunk(chunk,
-                                                      collect_errors=False)
-                    span.set_attr("rows", len(y))
-                    x = self._encode_chunk(columns, pipeline)
-                    if cross_sketch is not None and len(x):
-                        cross_sketch.update(x)
-                x_chunks.append(x)
-                y_chunks.append(y)
-                self.report.chunks += 1
-                self._count("ingest.chunks")
-                stage2_state = {"chunks": chunk.index + 1,
-                                "offset": chunk.end_offset,
-                                "line": chunk.end_line, "done": False}
-                if workdir is not None:
-                    write_archive(
-                        workdir / _CHUNK_TEMPLATE.format(index=chunk.index),
-                        {"x": x, "y": y}, {"index": chunk.index})
-                    self._write_manifest({"stage1": stage1_state,
-                                          "stage2": stage2_state})
-                if self.on_chunk is not None:
-                    self.on_chunk("encode", chunk.index)
-            stage2_state["done"] = True
-            if workdir is not None:
-                self._write_manifest({"stage1": stage1_state,
-                                      "stage2": stage2_state})
-            self._emit("stage_end", stage=2, chunks=stage2_state["chunks"])
+        # ---- stage 1: accumulate fit statistics ------------------------
+        def observe(y: np.ndarray, columns: Columns) -> None:
+            if len(y):
+                labels.update(y)
+                pipeline._observe(sketches, columns)
 
-        x = np.concatenate(x_chunks) if x_chunks else np.empty(
-            (0, len(config.field_names)), dtype=np.int64)
-        y = np.concatenate(y_chunks) if y_chunks else np.empty(
-            0, dtype=np.float64)
-        if len(x) == 0:
+        def save_fit(progress: Dict[str, Any]) -> None:
+            self._flush_quarantine()
+            arrays, sketch_meta = self._sketch_state(sketches, labels)
+            write_archive(workdir / _STAGE1_NAME, arrays,
+                          {"sketches": sketch_meta, "progress": progress})
+            self._write_manifest({"stage1": progress,
+                                  "stage2": {"chunks": 0, "done": False}})
+
+        fit = self._stage(reader, "fit", fit, observe, save_fit)
+        if labels.total == 0 or self.report.rows_ok == 0:
+            raise IngestError("no valid rows in input", path=self.path)
+        cross_sketch = pipeline._fit_sketches(sketches, labels)
+
+        # ---- stage 2: encode + cross statistics ------------------------
+        def count_cross(x: np.ndarray) -> None:
+            if cross_sketch is not None and len(x):
+                cross_sketch.update(x)
+
+        def encode_chunk(y: np.ndarray, columns: Columns) -> None:
+            x = self._encode_chunk(columns, pipeline)
+            count_cross(x)
+            x_chunks.append(x)
+            y_chunks.append(y)
+
+        def save_encode(progress: Dict[str, Any]) -> None:
+            if not progress["done"]:
+                index = progress["chunks"] - 1
+                write_archive(workdir / _CHUNK_TEMPLATE.format(index=index),
+                              {"x": x_chunks[-1], "y": y_chunks[-1]},
+                              {"index": index})
+            self._write_manifest({"stage1": fit, "stage2": progress})
+
+        for x in x_chunks:  # the chunks encoded before a resume
+            count_cross(x)
+        self._stage(reader, "encode", encode, encode_chunk, save_encode)
+
+        if not any(len(x) for x in x_chunks):
             raise IngestError("no valid rows in input", path=self.path)
         pipeline._finish_fit(cross_sketch)
-        return IngestResult(dataset=pipeline._dataset(x, y),
-                            pipeline=pipeline, report=self.report)
-
-    def _observe_fit_chunk(self, y: np.ndarray, columns: Columns,
-                           pipeline: CTRPipeline, sketches: FieldSketches,
-                           labels: LabelSketch) -> None:
-        if not len(y):
-            return
-        labels.update(y)
-        pipeline._observe(sketches, columns)
+        dataset = pipeline._dataset(np.concatenate(x_chunks),
+                                    np.concatenate(y_chunks))
+        return IngestResult(dataset=dataset, pipeline=pipeline,
+                            report=self.report)
 
 
 def ingest_file(path: PathLike, config: IngestConfig, **kwargs: Any

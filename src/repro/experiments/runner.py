@@ -145,11 +145,11 @@ def _build_plain_model(name: str, train: CTRDataset, config: ExperimentConfig,
     raise KeyError(f"unknown model {name!r}")
 
 
-def run_model(name: str, bundle: DatasetBundle,
-              config: ExperimentConfig, bus=None,
-              recovery=None, checkpoint_dir=None,
-              resume: bool = False) -> ResultRow:
-    """Train one registry model on a bundle and score it on the test split.
+def train_registry_model(model_name: str, bundle: DatasetBundle,
+                         config: ExperimentConfig, *, bus=None,
+                         recovery=None, checkpoint_dir=None,
+                         resume: bool = False):
+    """Train one registry model on a bundle; returns the trained model.
 
     ``bus`` (a :class:`repro.obs.events.EventBus`) receives the training
     events of whichever pipeline the model name selects.
@@ -161,53 +161,59 @@ def run_model(name: str, bundle: DatasetBundle,
     fixed-architecture variants and every plain Trainer-based baseline;
     AutoFIS runs its own two-stage loop and currently ignores them.
     """
-    rng = np.random.default_rng(config.seed)
-    if name == "OptInter":
-        result = run_optinter(bundle.train, bundle.val,
-                              config.search_config(), config.retrain_config(),
-                              bus=bus, recovery=recovery,
-                              checkpoint_dir=checkpoint_dir, resume=resume)
-        metrics = evaluate_model(result.model, bundle.test)
-        return ResultRow(model=name, auc=metrics["auc"],
-                         log_loss=metrics["log_loss"],
-                         params=result.model.num_parameters(),
-                         extra={"architecture": result.architecture,
-                                "counts": result.architecture.counts()})
-    if name == "AutoFIS":
-        result = train_autofis(
+    run_kw = dict(bus=bus, recovery=recovery, checkpoint_dir=checkpoint_dir,
+                  resume=resume)
+    if model_name == "OptInter":
+        return run_optinter(bundle.train, bundle.val, config.search_config(),
+                            config.retrain_config(), **run_kw).model
+    if model_name == "AutoFIS":
+        return train_autofis(
             bundle.train, bundle.val, embed_dim=config.embed_dim,
             hidden_dims=config.hidden_dims, lr=config.lr,
             batch_size=config.batch_size,
             search_epochs=config.search_epochs,
             retrain_epochs=config.epochs, patience=config.patience,
-            seed=config.seed, bus=bus)
-        metrics = evaluate_model(result.model, bundle.test)
-        return ResultRow(model=name, auc=metrics["auc"],
-                         log_loss=metrics["log_loss"],
-                         params=result.model.num_parameters(),
-                         extra={"counts": result.model.selection_counts()})
-    if name in ("OptInter-M", "OptInter-F"):
+            seed=config.seed, bus=bus).model
+    if model_name in ("OptInter-M", "OptInter-F"):
         # Uniform architectures go through the same retrain pipeline as
         # OptInter so the cross-table L2 treatment is identical.
         num_pairs = bundle.train.num_pairs
-        arch = (Architecture.all_memorize(num_pairs) if name == "OptInter-M"
+        arch = (Architecture.all_memorize(num_pairs)
+                if model_name == "OptInter-M"
                 else Architecture.all_factorize(num_pairs))
-        row = run_fixed_architecture(arch, bundle, config, label=name, bus=bus,
-                                     recovery=recovery,
-                                     checkpoint_dir=checkpoint_dir,
-                                     resume=resume)
-        return row
-    model = _build_plain_model(name, bundle.train, config, rng)
-    trainer = Trainer(model, Adam(model.parameters(), lr=config.lr),
-                      batch_size=config.batch_size, max_epochs=config.epochs,
-                      patience=config.patience, rng=rng, bus=bus,
-                      recovery=recovery, checkpoint_dir=checkpoint_dir,
-                      resume=resume)
-    trainer.fit(bundle.train, bundle.val)
+        model, _ = retrain(arch, bundle.train, bundle.val,
+                           config.retrain_config(), **run_kw)
+        return model
+    rng = np.random.default_rng(config.seed)
+    model = _build_plain_model(model_name, bundle.train, config, rng)
+    Trainer(model, Adam(model.parameters(), lr=config.lr),
+            batch_size=config.batch_size, max_epochs=config.epochs,
+            patience=config.patience, rng=rng,
+            **run_kw).fit(bundle.train, bundle.val)
+    return model
+
+
+def run_model(name: str, bundle: DatasetBundle,
+              config: ExperimentConfig, bus=None,
+              recovery=None, checkpoint_dir=None,
+              resume: bool = False) -> ResultRow:
+    """Train one registry model (see :func:`train_registry_model`) and
+    score it on the test split; an OptInter-family row carries its
+    architecture and an AutoFIS row its selection counts in ``extra``."""
+    model = train_registry_model(name, bundle, config, bus=bus,
+                                 recovery=recovery,
+                                 checkpoint_dir=checkpoint_dir,
+                                 resume=resume)
     metrics = evaluate_model(model, bundle.test)
+    extra = None
+    if name == "AutoFIS":
+        extra = {"counts": model.selection_counts()}
+    elif isinstance(model, OptInterModel):
+        extra = {"architecture": model.architecture,
+                 "counts": model.architecture.counts()}
     return ResultRow(model=name, auc=metrics["auc"],
                      log_loss=metrics["log_loss"],
-                     params=model.num_parameters())
+                     params=model.num_parameters(), extra=extra)
 
 
 def run_fixed_architecture(architecture: Architecture, bundle: DatasetBundle,

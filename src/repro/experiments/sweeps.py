@@ -12,15 +12,9 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Sequence
 
-import numpy as np
-
-from ..core.architecture import Architecture
-from ..core.retrain import retrain, run_optinter
-from ..models import train_autofis
-from ..nn.optim import Adam
-from ..training.trainer import Trainer, evaluate_model
+from ..training.trainer import evaluate_model
 from .configs import ExperimentConfig
-from .runner import DatasetBundle, _build_plain_model
+from .runner import DatasetBundle, train_registry_model
 
 
 @dataclass
@@ -72,40 +66,6 @@ def expand_grid(grid: Dict[str, Sequence[Any]]) -> List[Dict[str, Any]]:
     keys = sorted(grid)
     return [dict(zip(keys, values))
             for values in itertools.product(*(grid[k] for k in keys))]
-
-
-def train_registry_model(model_name: str, bundle: DatasetBundle,
-                         config: ExperimentConfig):
-    """Train one registry model and return the trained model object.
-
-    Unlike :func:`repro.experiments.runner.run_model`, this exposes the
-    model itself so callers can score arbitrary splits or inspect weights.
-    """
-    if model_name == "OptInter":
-        return run_optinter(bundle.train, bundle.val, config.search_config(),
-                            config.retrain_config()).model
-    if model_name == "AutoFIS":
-        return train_autofis(
-            bundle.train, bundle.val, embed_dim=config.embed_dim,
-            hidden_dims=config.hidden_dims, lr=config.lr,
-            batch_size=config.batch_size,
-            search_epochs=config.search_epochs,
-            retrain_epochs=config.epochs, patience=config.patience,
-            seed=config.seed).model
-    if model_name in ("OptInter-M", "OptInter-F"):
-        num_pairs = bundle.train.num_pairs
-        arch = (Architecture.all_memorize(num_pairs)
-                if model_name == "OptInter-M"
-                else Architecture.all_factorize(num_pairs))
-        model, _ = retrain(arch, bundle.train, bundle.val,
-                           config.retrain_config())
-        return model
-    rng = np.random.default_rng(config.seed)
-    model = _build_plain_model(model_name, bundle.train, config, rng)
-    Trainer(model, Adam(model.parameters(), lr=config.lr),
-            batch_size=config.batch_size, max_epochs=config.epochs,
-            patience=config.patience, rng=rng).fit(bundle.train, bundle.val)
-    return model
 
 
 def grid_search(model: str, bundle: DatasetBundle,

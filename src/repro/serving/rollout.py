@@ -382,7 +382,7 @@ class CanaryController:
             stats = self._stats.as_dict() if self._stats is not None else None
         return {
             "stage": self.manifest.stage,
-            "current_epoch": self.manifest.data.get("current_epoch"),
+            "current_epoch": self._loaded_epoch,
             "candidate": self.manifest.data.get("candidate"),
             "canary_replica": self.manifest.data.get("canary_replica"),
             "promotions": self.manifest.data.get("promotions", 0),

@@ -59,7 +59,6 @@ from .rollout import (MANIFEST_NAME, CanaryController, RolloutManifest,
                       RolloutPolicy, select_initial_checkpoint)
 from .service import (BatchRequest, PredictionService, PredictionResponse,
                       STATUS_INVALID)
-from .validation import RequestValidator
 
 #: zoo models `repro serve --model` can instantiate without a search stage.
 SERVABLE_MODELS = ("LR", "FNN", "FM", "FwFM", "FmFM", "IPNN", "OPNN",
@@ -266,9 +265,14 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
                      "requests")
     version = ("initial" if loaded_epoch is None
                else f"epoch-{loaded_epoch:08d}")
+    # Requests are checked in the model's id space: its tables are sized
+    # by the dataset's vocabularies, not the raw cardinalities the
+    # schema records.
+    schema = replace(bundle.full.schema, fields=tuple(
+        replace(spec, cardinality=cardinality) for spec, cardinality
+        in zip(bundle.full.schema.fields, bundle.full.cardinalities)))
     # The veto the checkpoint watcher applies before serving new weights.
-    golden = GoldenSet(list(valid_requests(bundle.full.schema,
-                                           count=golden_requests)))
+    golden = GoldenSet(list(valid_requests(schema, count=golden_requests)))
 
     def build_replica_service(replica_id: int,
                               boot: bool = False) -> PredictionService:
@@ -296,8 +300,7 @@ def build_serving_stack(model_name: str, dataset: str, scale: str = "quick",
             rep_model.load_state_dict(state)
         registry = MetricsRegistry()
         return PredictionService(
-            rep_model, bundle.full.schema,
-            validator=RequestValidator(bundle.full.schema),
+            rep_model, schema,
             cross_transform=cross_transform,
             prior_ctr=prior,
             deadline_s=None if deadline_ms is None else deadline_ms / 1e3,

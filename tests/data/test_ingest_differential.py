@@ -25,7 +25,9 @@ import numpy as np
 import pytest
 
 from repro.data import CTRPipeline, IngestConfig, ingest_file, read_csv
+from repro.data.errors import ResumeError
 from repro.data.ingest import ChunkedIngestor
+from repro.obs.events import EventBus, MemorySink
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import CrashAtChunk, InjectedCrash
 from repro.resilience.faults import GARBAGE_LINES, inject_garbage_lines
@@ -269,3 +271,78 @@ def test_chaos_with_kill_and_resume_keeps_accounting_exact(tmp_path):
     lines = [json.loads(r)["line"] for r in records]
     assert len(lines) == len(set(lines))
     assert_bit_identical(result, ref_pipeline, ref_dataset)
+
+
+def _ingest_events(sink):
+    return [e.payload for e in sink.of_type("ingest")]
+
+
+@pytest.mark.parametrize("stage,at_chunk,resumed_in,chunks_done,ran", [
+    ("fit", 2, 1, 2, [1, 2]),
+    ("encode", 3, 2, 10, [2]),
+])
+def test_resume_event_stream_is_pinned(tmp_path, stage, at_chunk,
+                                       resumed_in, chunks_done, ran):
+    """The resume event names the pass the run resumes in, and only a
+    pass that ran in this process reports ``stage_end``."""
+    path = write_file(tmp_path / "log.csv", make_rows())
+    kw = dict(chunk_rows=64, workdir=tmp_path / "wd", **PIPELINE_KW)
+    with pytest.raises(InjectedCrash):
+        ChunkedIngestor(path, IngestConfig(**kw),
+                        on_chunk=CrashAtChunk(at_chunk=at_chunk,
+                                              stage=stage)).run()
+    sink = MemorySink()
+    result = ingest_file(path, IngestConfig(resume=True, **kw),
+                         bus=EventBus([sink]))
+    events = _ingest_events(sink)
+    assert [e for e in events if e["kind"] == "resume"] == [
+        {"kind": "resume", "stage": resumed_in, "chunks_done": chunks_done}]
+    ends = [e for e in events if e["kind"] == "stage_end"]
+    assert [e["stage"] for e in ends] == ran
+    assert ends[-1] == {"kind": "stage_end", "stage": 2, "chunks": 10}
+    if 1 in ran:
+        assert ends[0] == {"kind": "stage_end", "stage": 1,
+                           "rows_ok": result.report.rows_ok}
+
+
+def test_offset_gauge_tracks_both_passes(tmp_path):
+    """``ingest.offset_bytes`` climbs to the file size once per pass."""
+    path = write_file(tmp_path / "log.csv", make_rows())
+    metrics = MetricsRegistry()
+    readings = {"fit": [], "encode": []}
+
+    def on_chunk(stage, index):
+        readings[stage].append(metrics.gauge("ingest.offset_bytes").value)
+
+    ChunkedIngestor(path, IngestConfig(chunk_rows=64, **PIPELINE_KW),
+                    metrics=metrics, on_chunk=on_chunk).run()
+    size = path.stat().st_size
+    assert len(readings["fit"]) == 10
+    assert readings["fit"] == sorted(set(readings["fit"]))
+    assert readings["fit"][0] < size and readings["fit"][-1] == size
+    assert readings["encode"] == readings["fit"]
+
+
+def test_encode_progress_without_finished_fit_fails_before_any_chunk(
+        tmp_path):
+    """A manifest with encode progress but an unfinished fit pass is
+    refused before a single chunk is read, fit or encode."""
+    path = write_file(tmp_path / "log.csv", make_rows())
+    workdir = tmp_path / "wd"
+    kw = dict(chunk_rows=64, workdir=workdir, on_error="quarantine",
+              **PIPELINE_KW)
+    with pytest.raises(InjectedCrash):
+        ChunkedIngestor(path, IngestConfig(**kw),
+                        on_chunk=CrashAtChunk(at_chunk=2,
+                                              stage="encode")).run()
+    manifest_path = workdir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["stage1"] = {"chunks": 0, "done": False}
+    manifest_path.write_text(json.dumps(manifest))
+    quarantine = (workdir / "quarantine.jsonl").read_bytes()
+    chunks = []
+    with pytest.raises(ResumeError, match="stage-2 progress"):
+        ChunkedIngestor(path, IngestConfig(resume=True, **kw),
+                        on_chunk=lambda *chunk: chunks.append(chunk)).run()
+    assert chunks == []
+    assert (workdir / "quarantine.jsonl").read_bytes() == quarantine

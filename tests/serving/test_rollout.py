@@ -492,6 +492,24 @@ class TestOneWatcherAtEveryPoolSize:
         on_disk = json.loads((ckpt_dir / MANIFEST_NAME).read_text())
         assert on_disk["promotions"] == 1
 
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_rollout_op_reports_the_epoch_booted_from(self, tmp_path,
+                                                      replicas):
+        """A stack booted from a checkpoint reports that epoch before any
+        promotion has written one into the manifest."""
+        from repro.serving.server import handle_request_line
+
+        ckpt_dir = tmp_path / "ckpts"
+        swapper = CheckpointSwapper(CheckpointManager(ckpt_dir))
+        model = self._model(self._stack(tmp_path / "seed"))
+        swapper.write_valid(model)
+        swapper.write_valid(model)
+        stack = self._stack(ckpt_dir, replicas=replicas)
+        assert stack.service.model_version == "epoch-00000002"
+        state, _ = handle_request_line('{"op": "rollout"}', stack.service)
+        assert state["current_epoch"] == 2
+        assert state["promotions"] == 0
+
     def test_spare_replica_still_canaries(self, tmp_path):
         stack = self._stack(tmp_path / "ckpts", replicas=2)
         assert not stack.canary.direct

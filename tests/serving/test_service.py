@@ -18,6 +18,7 @@ from repro.serving import (
     STATUS_OK,
     STATUS_SHED,
 )
+from repro.data import Batch
 from repro.data.cross import CrossProductTransform
 from repro.experiments import default_config, prepare_dataset
 from repro.serving import build_serving_stack
@@ -213,3 +214,38 @@ class TestServingStack:
                                          n_samples=300))
         np.testing.assert_array_equal(transform.transform(bundle.full.x),
                                       bundle.full.x_cross)
+
+
+@pytest.mark.serving
+class TestModelIdSpace:
+    """Requests are validated against the vocabularies the model's
+    tables were sized by, not the raw cardinalities in the schema."""
+
+    @pytest.mark.parametrize("model_name", ["LR", "Poly2"])
+    def test_every_test_row_scores_as_the_model_does(self, model_name):
+        stack = build_serving_stack(model_name, "criteo", "quick",
+                                    samples=2000)
+        bundle = prepare_dataset(replace(default_config("criteo", "quick"),
+                                         n_samples=2000))
+        model = stack.service.replicas[0].service.model
+        names = bundle.full.schema.field_names
+        requests = [dict(zip(names, map(int, row))) for row in bundle.test.x]
+        responses = stack.service.predict_batch(requests)
+        assert [r.status for r in responses] == [STATUS_OK] * len(requests)
+        test = bundle.test
+        expected = np.asarray(model.predict_proba(
+            Batch(x=test.x, x_cross=test.x_cross, y=test.y)))
+        np.testing.assert_array_equal(
+            [r.probability for r in responses], expected)
+
+    def test_an_id_past_the_vocabulary_scores_as_oov(self):
+        stack = build_serving_stack("LR", "criteo", "quick", samples=2000)
+        bundle = prepare_dataset(replace(default_config("criteo", "quick"),
+                                         n_samples=2000))
+        names = bundle.full.schema.field_names
+        base = dict(zip(names, map(int, bundle.test.x[0])))
+        for name, cardinality in zip(names, bundle.full.cardinalities):
+            past, oov = (stack.service.predict_batch(
+                [{**base, name: value}])[0] for value in (cardinality, 0))
+            assert past.status == STATUS_OK, (name, past)
+            assert past.probability == oov.probability, name
