@@ -27,9 +27,11 @@ guarantees:
    column is always fatal.
 4. **Resumable, bit-for-bit chunked fitting** — the pipeline statistics
    are accumulated with the exact sketches of
-   :mod:`repro.data.sketches`, checkpointed after every chunk with the
+   :mod:`repro.data.sketches`; with a workdir, each chunk's own sketch
+   contribution is checkpointed as it completes, in the
    checksummed-archive pattern of :mod:`repro.resilience.checkpoint`,
-   and an ingest killed mid-run resumes by skipping completed chunks.
+   and an ingest killed mid-run resumes by merging the saved chunks
+   back in order and skipping them.
    The fit is :class:`CTRPipeline`'s own — an in-memory
    :meth:`CTRPipeline.fit` is its one-chunk case — so the finalised
    vocabularies, bucket boundaries and encoded dataset are **bit-for-bit
@@ -54,6 +56,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field as dataclass_field
+from itertools import repeat
 from pathlib import Path
 from typing import (Any, Callable, Dict, IO, Iterator, List, Optional,
                     Sequence, Tuple, Union)
@@ -72,11 +75,16 @@ from .sketches import CategoricalSketch, LabelSketch, NumericSketch
 PathLike = Union[str, Path]
 
 #: Manifest format version; resume refuses manifests it cannot read.
-MANIFEST_VERSION = 1
+#: Version 2 keeps one fit archive per chunk (``stage1-NNNNNN.npz``).
+MANIFEST_VERSION = 2
 
 _MANIFEST_NAME = "manifest.json"
-_STAGE1_NAME = "stage1.npz"
+_STAGE1_TEMPLATE = "stage1-{index:06d}.npz"
 _CHUNK_TEMPLATE = "chunk-{index:06d}.npz"
+
+#: Bytes per read of the chunk reader.  Small blocks keep the read-ahead
+#: (and peak memory) small; lines are cut out of them in one split.
+_READ_BLOCK = 64 * 1024
 
 ON_ERROR_POLICIES = ("raise", "skip", "quarantine")
 
@@ -110,6 +118,24 @@ def _cell_float(text: str) -> float:
         return float(text) if text else math.nan
     except ValueError:
         return math.inf
+
+
+#: A blank continuous cell is missing; ``float`` reads it as ``nan``.
+_BLANK_AS_NAN = {"": "nan"}
+
+
+def _parse_column(cells: Sequence[str], n: int) -> np.ndarray:
+    """``n`` continuous cells through :func:`_cell_float`, in one
+    ``float`` map when every cell parses: a text ``float`` accepts is a
+    number with only whitespace around it, which ``_cell_float`` parses
+    to the same value once stripped, and a blank cell is read as
+    ``nan``, as ``_cell_float`` reads it."""
+    try:
+        return np.fromiter(map(float, map(_BLANK_AS_NAN.get, cells, cells)),
+                           dtype=np.float64, count=n)
+    except ValueError:
+        return np.fromiter(map(_cell_float, cells), dtype=np.float64,
+                           count=n)
 
 
 def _is_float(text: str) -> bool:
@@ -273,12 +299,16 @@ class IngestResult:
 # Resilient line reading
 # ---------------------------------------------------------------------------
 class _ResilientLineReader:
-    """Byte-offset-addressed line reader with transient-IO retry.
+    """Byte-offset-addressed reader with transient-IO retry.
 
-    Every ``readline`` survives up to ``retries`` ``OSError``s by
-    reopening through ``opener`` and seeking back to the last good
-    offset with exponential backoff — the streaming analogue of the
-    serving layer's checkpoint-read retry.
+    ``read(size)`` returns the next block of raw bytes (the chunk reader
+    reads ``_READ_BLOCK`` at a time and cuts lines out of the blocks
+    itself); ``readline`` returns one line, for the header.  Every read
+    survives up to ``retries`` ``OSError``s by reopening through
+    ``opener`` and seeking back to ``offset``, the byte after the last
+    successful read, with exponential backoff — the streaming analogue
+    of the serving layer's checkpoint-read retry.  A failed read returns
+    nothing, so no byte is skipped or read twice.
     """
 
     def __init__(self, path: Path, opener: Callable[[str], IO[bytes]],
@@ -310,22 +340,22 @@ class _ResilientLineReader:
                 pass
             self._handle = None
 
-    def _read_once(self) -> bytes:
+    def _read_once(self, size: Optional[int]) -> bytes:
         try:
             if self._handle is None:
                 self._handle = self._opener(str(self._path))
                 self._handle.seek(self.offset)
-            line = self._handle.readline()
+            data = (self._handle.readline() if size is None
+                    else self._handle.read(size))
         except OSError:
             self._drop_handle()
             raise
-        self.offset += len(line)
-        return line
+        self.offset += len(data)
+        return data
 
-    def readline(self) -> bytes:
-        """Next raw line (with terminator); ``b""`` at EOF."""
+    def _read(self, size: Optional[int]) -> bytes:
         try:
-            return self._read_once()
+            return self._read_once(size)
         except OSError as exc:
             failed = [exc]
 
@@ -334,12 +364,39 @@ class _ResilientLineReader:
             # its first delay before the next read.
             if failed:
                 raise failed.pop()
-            return self._read_once()
+            return self._read_once(size)
 
         return self._retry(again)
 
+    def read(self, size: int) -> bytes:
+        """Up to ``size`` raw bytes; ``b""`` at EOF."""
+        return self._read(size)
+
+    def readline(self) -> bytes:
+        """Next raw line (with terminator); ``b""`` at EOF."""
+        return self._read(None)
+
     def close(self) -> None:
         self._drop_handle()
+
+
+def _read_lines(reader: _ResilientLineReader) -> Iterator[bytes]:
+    """``reader``'s lines from its offset to EOF, each with its ``\\n``
+    as ``readline`` returns it, cut out of ``_READ_BLOCK``-byte reads."""
+    head: List[bytes] = []  # the blocks of a line not ended yet
+    while True:
+        block = reader.read(_READ_BLOCK)
+        if not block:
+            break
+        head.append(block)
+        if b"\n" in block:
+            lines = b"".join(head).split(b"\n")
+            head = [lines.pop()]
+            for line in lines:
+                yield line + b"\n"
+    rest = b"".join(head)
+    if rest:
+        yield rest
 
 
 # ---------------------------------------------------------------------------
@@ -552,17 +609,16 @@ class ChunkedIngestor:
                 path=self.path, line_number=line_number)
         self._emit("truncated_tail", line=line_number)
 
-    def _split_columns(self, rows: List[List[str]]
+    def _split_columns(self, cells: Sequence[Sequence[str]], n: int
                        ) -> Tuple[np.ndarray, Columns, np.ndarray]:
-        """Rows of the header's width → ``(labels, columns, ok)``.
+        """``n`` rows of the header's width, given as the cells of each
+        file column, → ``(labels, columns, ok)``.
 
         Categorical columns are object arrays of the raw cells and
         continuous ones float64 with NaN for a blank or ``nan`` cell.
         ``ok`` is False on a row whose label is not 0/1 or whose
         continuous cell is not a finite number.
         """
-        n = len(rows)
-        cells = list(zip(*rows)) if n else [()] * self._row_width
         label_cells = cells[self._label_position]
         label_of = {text: _binary_label(text) for text in set(label_cells)}
         labels = np.fromiter(map(label_of.__getitem__, label_cells),
@@ -579,8 +635,7 @@ class ChunkedIngestor:
             elif position is None:
                 columns[name] = np.full(n, np.nan)
             else:
-                columns[name] = np.fromiter(map(_cell_float, cells[position]),
-                                            dtype=np.float64, count=n)
+                columns[name] = _parse_column(cells[position], n)
                 ok &= ~np.isinf(columns[name])
         return labels, columns, ok
 
@@ -589,26 +644,44 @@ class ChunkedIngestor:
         """The chunk's valid rows as ``(labels, columns)``, in line order.
 
         A column-wise pass accepts every line that splits on the
-        delimiter into a valid row and needs no csv quoting rules.  It
-        never rejects: every other line goes through :meth:`_check_line`
-        in line order, so :meth:`_validate_row` alone classifies errors
-        and applies the ``on_error`` policy.
+        delimiter into a valid row and needs no csv quoting rules: the
+        chunk is decoded, screened and split as one text.  It never
+        rejects: every other line goes through :meth:`_check_line` in
+        line order, so :meth:`_validate_row` alone classifies errors and
+        applies the ``on_error`` policy.
         """
         with self.tracer.span("ingest.validate", rows=len(chunk.lines)):
-            tail_row = bool(chunk.numbers) and chunk.numbers[-1] == chunk.tail
-            stripped = [raw.rstrip(b"\r\n") for raw in chunk.lines]
-            texts = (b"\n".join(stripped).decode("utf-8", "surrogateescape")
-                     .split("\n") if stripped else [])
-            rows = [text.split(self.config.delimiter) for text in texts]
-            limit = csv.field_size_limit()
-            fast = [i for i in range(len(rows) - tail_row)
-                    if len(rows[i]) == self._row_width
-                    and len(texts[i]) <= limit
-                    and not _NEEDS_CSV.search(texts[i])]
-            labels, columns, ok = self._split_columns([rows[i] for i in fast])
-            accepted = np.zeros(len(rows), dtype=bool)
+            n = len(chunk.lines)
+            delimiter = self.config.delimiter
+            text = b"".join(chunk.lines).decode("utf-8", "surrogateescape")
+            if "\r" in text:  # CRLF endings; any other CR goes to csv
+                text = text.replace("\r\n", "\n")
+            texts = text.split("\n")
+            del texts[n:]  # the empty text after the final terminator
+            widths = np.fromiter(map(str.count, texts, repeat(delimiter)),
+                                 dtype=np.int64, count=n) + 1
+            lengths = np.fromiter(map(len, texts), dtype=np.int64, count=n)
+            fast = ((widths == self._row_width)
+                    & (lengths <= csv.field_size_limit()))
+            tail_row = bool(n) and chunk.numbers[-1] == chunk.tail
+            if tail_row:
+                fast[-1] = False
+            # One search over the chunk; no match spans a line end.
+            hits = [match.start() for match in _NEEDS_CSV.finditer(text)]
+            if hits:
+                fast[np.searchsorted(np.cumsum(lengths + 1), hits,
+                                     side="right")] = False
+            # Every line's cells in one split, then each column's cells
+            # of the fast lines by their offsets into it.
+            flat = np.array(text.replace("\n", delimiter).split(delimiter),
+                            dtype=object)
+            starts = (np.cumsum(widths) - widths)[fast]
+            labels, columns, ok = self._split_columns(
+                [flat[starts + k] for k in range(self._row_width)],
+                len(starts))
+            accepted = np.zeros(n, dtype=bool)
             accepted[fast] = ok
-            rescued = False
+            rescued: Dict[int, List[str]] = {}
             read = 0  # lines accounted for, should a policy or tail raise
             try:
                 for i in np.flatnonzero(~accepted).tolist():
@@ -621,8 +694,8 @@ class ChunkedIngestor:
                         chunk.lines[i], chunk.numbers[i], truncated=is_tail,
                         collect_errors=collect_errors)
                     if fields is not None:
-                        rows[i], accepted[i], rescued = fields, True, True
-                read = len(rows)
+                        accepted[i], rescued[i] = True, fields
+                read = n
                 if chunk.tail is not None and not tail_row:
                     self._truncated_tail(chunk.tail)  # a blank final line
             finally:
@@ -633,8 +706,12 @@ class ChunkedIngestor:
                     self._count("ingest.rows", read)
                     self._count("ingest.ok", ok_rows)
             if rescued or not ok.all():
+                rows = [rescued[i] if i in rescued
+                        else texts[i].split(delimiter)
+                        for i in np.flatnonzero(accepted).tolist()]
                 labels, columns, _ = self._split_columns(
-                    [rows[i] for i in np.flatnonzero(accepted)])
+                    list(zip(*rows)) if rows else [()] * self._row_width,
+                    len(rows))
         return labels, columns
 
     # -- schema reconciliation -------------------------------------------
@@ -715,9 +792,11 @@ class ChunkedIngestor:
 
         Blank lines are invisible, as in ``read_csv``.  A truncated
         final record rides in the last chunk as ``tail``; when no line is
-        pending there, it is recorded here.
+        pending there, it is recorded here.  A chunk ends at the byte
+        after its last line, however far the reader has read ahead.
         """
         reader.seek(start_offset)
+        offset = start_offset
         line_number = start_line
         chunk_index = start_chunk
         lines: List[bytes] = []
@@ -727,18 +806,15 @@ class ChunkedIngestor:
 
         def make_chunk() -> _Chunk:
             return _Chunk(index=chunk_index, lines=lines, numbers=numbers,
-                          tail=tail, end_offset=reader.offset,
-                          end_line=line_number)
+                          tail=tail, end_offset=offset, end_line=line_number)
 
-        while True:
-            raw = reader.readline()
-            if not raw:
-                break
+        for raw in _read_lines(reader):
+            offset += len(raw)
             line_number += 1
             if raw.rstrip(b"\r\n"):
                 lines.append(raw)
                 numbers.append(line_number)
-            if not raw.endswith(b"\n") and reader.offset >= file_size:
+            if not raw.endswith(b"\n") and offset >= file_size:
                 tail = line_number
             if len(lines) >= self.config.chunk_rows:
                 yield make_chunk()
@@ -809,7 +885,7 @@ class ChunkedIngestor:
         self.report.schema_extra = list(schema.get("extra", []))
         self.report.schema_reordered = bool(schema.get("reordered", False))
 
-    # -- sketch state (stage 1 checkpoints) --------------------------------
+    # -- sketch state (per-chunk fit archives) ----------------------------
     def _sketch_state(self, sketches: FieldSketches, labels: LabelSketch
                       ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
         arrays: Dict[str, np.ndarray] = {}
@@ -854,6 +930,8 @@ class ChunkedIngestor:
             manifest = self._load_manifest()
         resumed = manifest is not None
         self.report.resumed = resumed
+        if workdir is not None and not resumed:
+            self._clear_workdir(workdir)
 
         reader = _ResilientLineReader(
             self.path, self.opener, retries=config.retries,
@@ -873,6 +951,16 @@ class ChunkedIngestor:
             reader.close()
             if self._quarantine_handle is not None:
                 self._quarantine_handle.close()
+
+    @staticmethod
+    def _clear_workdir(workdir: Path) -> None:
+        """Delete an earlier run's manifest and archives (the manifest
+        first), so a fresh run leaves none it did not write."""
+        stale = [workdir / _MANIFEST_NAME, workdir / "stage1.npz"]
+        for pattern in ("stage1-*.npz", "chunk-*.npz"):
+            stale.extend(sorted(workdir.glob(pattern)))
+        for path in stale:
+            path.unlink(missing_ok=True)
 
     def _on_io_retry(self, attempt: int, error: BaseException) -> None:
         self.report.retries += 1
@@ -945,6 +1033,12 @@ class ChunkedIngestor:
         x_chunks: List[np.ndarray] = []
         y_chunks: List[np.ndarray] = []
 
+        def merge(chunk_sketches: FieldSketches,
+                  chunk_labels: LabelSketch) -> None:
+            for name, sketch in sketches.items():
+                sketch.merge(chunk_sketches[name])
+            labels.merge(chunk_labels)
+
         # ---- resume: both passes' progress, checked before any data line
         fit = self._progress(manifest, "stage1")
         encode = self._progress(manifest, "stage2")
@@ -953,10 +1047,10 @@ class ChunkedIngestor:
                 raise ResumeError("manifest has stage-2 progress without a "
                                   "complete stage 1", path=self.path)
             self._restore_accounting(manifest)
-            if fit["chunks"] or fit["done"]:
-                arrays, meta = read_archive(workdir / _STAGE1_NAME)
-                sketches, labels = self._sketches_from_state(
-                    arrays, meta["sketches"])
+            for index in range(fit["chunks"]):
+                arrays, meta = read_archive(
+                    workdir / _STAGE1_TEMPLATE.format(index=index))
+                merge(*self._sketches_from_state(arrays, meta["sketches"]))
             for index in range(encode["chunks"]):
                 arrays, _ = read_archive(
                     workdir / _CHUNK_TEMPLATE.format(index=index))
@@ -972,16 +1066,30 @@ class ChunkedIngestor:
         self._open_quarantine(append=manifest is not None)
 
         # ---- stage 1: accumulate fit statistics ------------------------
+        # With a workdir, each chunk is counted into fresh sketches,
+        # saved as the chunk's own fit archive and merged into the
+        # running ones: a checkpoint costs its chunk alone.  Without
+        # one, the chunk is counted into the running sketches directly.
+        counted: List[Tuple[FieldSketches, LabelSketch]] = []
+
         def observe(y: np.ndarray, columns: Columns) -> None:
+            into = ((sketches, labels) if workdir is None
+                    else (pipeline._field_sketches(), LabelSketch()))
             if len(y):
-                labels.update(y)
-                pipeline._observe(sketches, columns)
+                into[1].update(y)
+                pipeline._observe(into[0], columns)
+            if workdir is not None:
+                merge(*into)
+                counted[:] = [into]
 
         def save_fit(progress: Dict[str, Any]) -> None:
             self._flush_quarantine()
-            arrays, sketch_meta = self._sketch_state(sketches, labels)
-            write_archive(workdir / _STAGE1_NAME, arrays,
-                          {"sketches": sketch_meta, "progress": progress})
+            if not progress["done"]:
+                index = progress["chunks"] - 1
+                arrays, sketch_meta = self._sketch_state(*counted[0])
+                write_archive(workdir / _STAGE1_TEMPLATE.format(index=index),
+                              arrays, {"sketches": sketch_meta,
+                                       "index": index})
             self._write_manifest({"stage1": progress,
                                   "stage2": {"chunks": 0, "done": False}})
 

@@ -28,10 +28,14 @@ the one-chunk case of the streamed ingest fit:
   keys equal ``np.unique`` + threshold on the concatenated stream.
 
 Every sketch exposes ``update`` (one chunk); the field and label sketches
-also expose ``to_state`` / ``from_state`` (plain arrays + JSON-able
-metadata for the checksummed stage-1 checkpoints of
-:mod:`repro.data.ingest`).  The cross sketch is never persisted: a
-resumed ingest replays its encoded chunk archives into a fresh one.
+also expose ``merge`` (fold in another sketch) and ``to_state`` /
+``from_state`` (plain arrays + JSON-able metadata).  The streamed
+ingest of :mod:`repro.data.ingest` counts each chunk into fresh
+sketches, checkpoints their state as that chunk's checksummed fit
+archive and merges them into the running ones; a resumed ingest merges
+the archives back in the same order.  The cross sketch is never
+persisted: a resumed ingest replays its encoded chunk archives into a
+fresh one.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ class CategoricalSketch:
 
     def update(self, values: Iterable[str]) -> "CategoricalSketch":
         self.counts.update(values)
+        return self
+
+    def merge(self, other: "CategoricalSketch") -> "CategoricalSketch":
+        """Add another sketch's counts (a chunk's) into this one."""
+        self.counts.update(other.counts)
         return self
 
     def finalize(self, min_count: int = 1) -> Vocabulary:
@@ -101,6 +110,14 @@ class NumericSketch:
         finite = values[~nan_mask] + 0.0  # normalise -0.0 -> 0.0
         if finite.size:
             _fold(self._runs, np.unique(finite, return_counts=True))
+        return self
+
+    def merge(self, other: "NumericSketch") -> "NumericSketch":
+        """Fold another sketch's runs (a chunk's) into this one, as
+        ``update`` folds a chunk's run."""
+        self.missing += other.missing
+        for run in other._runs:
+            _fold(self._runs, run)
         return self
 
     def _merged(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -159,6 +176,11 @@ class LabelSketch:
         labels = np.asarray(labels, dtype=np.float64)
         self.total += int(labels.size)
         self.positives += int(labels.sum())
+        return self
+
+    def merge(self, other: "LabelSketch") -> "LabelSketch":
+        self.total += other.total
+        self.positives += other.positives
         return self
 
     def mean(self) -> float:

@@ -8,14 +8,13 @@ via its two-stage pipeline, and OptInter via search + re-train.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..core.architecture import Architecture
-from ..core.optinter import OptInterModel, optinter_f, optinter_m
+from ..core.optinter import OptInterModel
 from ..core.retrain import retrain, run_optinter
-from ..core.search import search_optinter
 from ..data.dataset import CTRDataset
 from ..data.synthetic import GroundTruth, make_dataset
 from ..models import (

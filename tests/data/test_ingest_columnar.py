@@ -272,3 +272,159 @@ def test_columnar_ingest_matches_per_line_loop(on_error, chunk_rows, data,
         args = (path, on_error, chunk_rows, allow_truncated_tail)
         reference = run(PerLineIngestor, *args)
         assert run(ChunkedIngestor, *args) == reference
+
+
+# ---------------------------------------------------------------------------
+# Block reads and the float fast path
+# ---------------------------------------------------------------------------
+def _straddling_lines():
+    """A three-byte character at every offset of a 70-byte window, so it
+    crosses every edge of 1-, 7- and 64-byte blocks."""
+    return [f"1,2,3,{'a' * k}€,b".encode() for k in range(70)]
+
+
+BLOCK_CASES = [
+    # CR-only endings: everything after the header is one line.
+    b"label,I1,I2,C1,C2\n1,2,3,a,b\r0,1,2,c,d\r1,3,4,e,f\n0,1,1,a,a\n",
+    build_log(HEADERS[0], [b"1,2,3,a,b", b"0,1,2,c,d", b"", b"1,,,e,f"],
+              "\r\n", tail=False),
+    build_log(HEADERS[0], _straddling_lines(), "\n", tail=False),
+    build_log(HEADERS[0], _straddling_lines() + [b"1,2,3,a,b\xe2\x82"], "\n",
+              tail=True),
+    build_log(HEADERS[0], [b"", b"", b"1,2,3,a,b", b"", b"\r", b"", b"",
+                           b"0,1,2,c,d", b"", b""], "\n", tail=False),
+    build_log(HEADERS[0], [b"1,2,3,a,b", b"", b"", b"\r"], "\r\n", tail=True),
+    build_log(HEADERS[0], [b"1,2,3,a,b", b"0,1,2,c,d"], "\n", tail=True),
+    EVERY_KIND,
+    BLANK_TAIL,
+]
+
+
+@pytest.mark.parametrize("on_error", ON_ERROR_POLICIES)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=dirty_logs(), allow_truncated_tail=st.booleans())
+@example(data=BLOCK_CASES[0], allow_truncated_tail=True)
+@example(data=BLOCK_CASES[1], allow_truncated_tail=True)
+@example(data=BLOCK_CASES[2], allow_truncated_tail=True)
+@example(data=BLOCK_CASES[3], allow_truncated_tail=True)
+@example(data=BLOCK_CASES[3], allow_truncated_tail=False)
+@example(data=BLOCK_CASES[4], allow_truncated_tail=True)
+@example(data=BLOCK_CASES[5], allow_truncated_tail=True)
+@example(data=BLOCK_CASES[5], allow_truncated_tail=False)
+@example(data=BLOCK_CASES[6], allow_truncated_tail=True)
+@example(data=BLOCK_CASES[7], allow_truncated_tail=True)
+@example(data=BLOCK_CASES[8], allow_truncated_tail=False)
+def test_block_size_does_not_change_the_ingest(on_error, data,
+                                               allow_truncated_tail):
+    """Lines cut out of 1-, 7- and 64-byte blocks ingest exactly as out
+    of the default blocks, chunk boundaries and offsets included."""
+    from repro.data import ingest
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        path.write_bytes(data)
+        args = (path, on_error, 2, allow_truncated_tail)
+        offsets = []
+
+        def ingestor(*a, **kw):
+            chunked = ChunkedIngestor(*a, **kw)
+            chunked.on_chunk = lambda stage, index: offsets[-1].append(
+                (stage, index,
+                 chunked.metrics.gauge("ingest.offset_bytes").value))
+            return chunked
+
+        outcomes = []
+        for block in (ingest._READ_BLOCK, 1, 7, 64):
+            offsets.append([])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "_READ_BLOCK", block)
+                outcomes.append(run(ingestor, *args))
+        for outcome, chunk_offsets in zip(outcomes[1:], offsets[1:]):
+            assert outcome == outcomes[0]
+            assert chunk_offsets == offsets[0]
+
+
+PADDING = ["", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+           "\x1f", "\x85", "\xa0", "\u2000", "\u3000"]
+NUMBER_TEXTS = ["nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "-0",
+                "0", "-0.0", "1_000", "1__0", "_1", "1_", "0x10", "1e3",
+                "1E-3", ".5", "5.", "+1", "1e400", "-1e-400", "x", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(st.builds(
+    lambda left, core, right: left + core + right,
+    st.lists(st.sampled_from(PADDING), max_size=3).map("".join),
+    st.one_of(st.sampled_from(NUMBER_TEXTS), st.floats().map(repr),
+              st.integers().map(str), st.text(max_size=6)),
+    st.lists(st.sampled_from(PADDING), max_size=3).map("".join)),
+    max_size=12))
+def test_float_parses_every_cell_it_accepts_as_cell_float(texts):
+    """Where ``float(t)`` succeeds it equals ``_cell_float(t)`` bit for
+    bit, NaN included, so a continuous column every cell of which
+    ``float`` accepts parses in one map."""
+    import struct
+
+    from repro.data.ingest import _cell_float, _parse_column
+
+    for text in texts:
+        try:
+            value = float(text)
+        except ValueError:
+            continue
+        assert struct.pack("<d", value) == \
+            struct.pack("<d", _cell_float(text)), text
+    reference = np.fromiter(map(_cell_float, texts), dtype=np.float64,
+                            count=len(texts))
+    assert _parse_column(np.array(texts, dtype=object),
+                         len(texts)).tobytes() == reference.tobytes()
+
+
+def test_blank_cells_keep_a_column_on_the_one_float_map(monkeypatch):
+    """A blank (missing) cell is read as NaN in the one ``float`` map,
+    without sending its column to the per-cell fallback."""
+    from repro.data import ingest
+
+    monkeypatch.setattr(ingest, "_cell_float", None)
+    column = ingest._parse_column(
+        np.array(["1", "", " 2.5", "nan", ""], dtype=object), 5)
+    assert column[[0, 2]].tolist() == [1.0, 2.5]
+    assert np.isnan(column[[1, 3, 4]]).all()
+
+
+@pytest.mark.parametrize("where", ["first block", "mid file"])
+@pytest.mark.parametrize("fail_reads", [1, 3])
+def test_flaky_block_reads_count_every_retry(tmp_path, where, fail_reads):
+    """``FlakyFile(fail_reads=k)`` costs exactly ``k`` retries whether the
+    failures hit the first block read (no header line) or a block read
+    in the middle of the file, and the output is the clean run's."""
+    from repro.data import ingest, ingest_file
+    from repro.resilience.faults import FlakyFile
+
+    path = tmp_path / "log.csv"
+    lines = [f"{i % 2},{i},{i % 7},c{i % 5},d{i % 3}".encode()
+             for i in range(300)]
+    headerless = where == "first block"
+    path.write_bytes(build_log(HEADERS[0], lines, "\n", tail=False)
+                     .split(b"\n", 1)[1] if headerless
+                     else build_log(HEADERS[0], lines, "\n", tail=False))
+    kw = dict(categorical=CATEGORICAL, continuous=CONTINUOUS, chunk_rows=64,
+              retries=fail_reads, retry_base_delay=0.0, header=not headerless,
+              column_names=HEADERS[0].split(",") if headerless else None)
+    clean = ingest_file(path, IngestConfig(**kw)).dataset
+    flaky = FlakyFile(fail_reads=fail_reads if headerless else 0)
+
+    def arm(stage, index):
+        if not headerless and (stage, index) == ("fit", 1):
+            flaky.fail_reads = fail_reads
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_READ_BLOCK", 256)
+        result = ingest_file(path, IngestConfig(**kw), opener=flaky,
+                             sleep=lambda delay: None, on_chunk=arm)
+    assert flaky.injected == fail_reads
+    assert result.report.retries == fail_reads
+    for key in ("x", "y", "x_cross"):
+        assert getattr(result.dataset, key).tobytes() == \
+            getattr(clean, key).tobytes()

@@ -346,3 +346,151 @@ def test_encode_progress_without_finished_fit_fails_before_any_chunk(
                         on_chunk=lambda *chunk: chunks.append(chunk)).run()
     assert chunks == []
     assert (workdir / "quarantine.jsonl").read_bytes() == quarantine
+
+
+def _fit_archives(workdir):
+    return sorted(path.name for path in workdir.glob("stage1*.npz"))
+
+
+def test_fit_checkpoint_bytes_grow_with_the_file(tmp_path, monkeypatch):
+    """Each fit archive holds its own chunk's sketch contribution, so the
+    fit pass writes about what the encode pass writes, however many
+    chunks came before: here a continuous column takes a new value on
+    every row, over 40 chunks."""
+    from repro.resilience import checkpoint
+
+    rng = np.random.default_rng(4)
+    rows = [f"{rng.integers(0, 2)},{i * 0.5},{rng.integers(0, 25)},"
+            f"a{rng.integers(0, 9)},b{rng.integers(0, 40)},x"
+            for i in range(40 * 32)]
+    path = write_file(tmp_path / "log.csv", rows)
+    written = Counter()
+    write_archive = checkpoint.write_archive
+
+    def counting(target, arrays, meta):
+        result = write_archive(target, arrays, meta)
+        stage = "fit" if target.name.startswith("stage1") else "encode"
+        written[stage] += target.stat().st_size
+        return result
+
+    monkeypatch.setattr(checkpoint, "write_archive", counting)
+    result = ingest_file(path, IngestConfig(
+        chunk_rows=32, workdir=tmp_path / "wd", **PIPELINE_KW))
+    assert result.report.chunks == 80
+    assert written["fit"] > 0 and written["encode"] > 0
+    assert written["fit"] <= 2 * written["encode"], written
+
+
+def test_version_1_workdir_is_refused_before_any_chunk(tmp_path):
+    """A workdir from the single-archive layout (manifest version 1 and
+    one ``stage1.npz``) is refused on resume, before a chunk is read,
+    with the quarantine file untouched."""
+    from repro.resilience import read_archive, write_archive
+
+    path = write_file(tmp_path / "log.csv", make_rows())
+    inject_garbage_lines(path, {5: GARBAGE_LINES[0], 9: GARBAGE_LINES[1]})
+    workdir = tmp_path / "wd"
+    kw = dict(chunk_rows=64, workdir=workdir, on_error="quarantine",
+              **PIPELINE_KW)
+    with pytest.raises(InjectedCrash):
+        ChunkedIngestor(path, IngestConfig(**kw),
+                        on_chunk=CrashAtChunk(at_chunk=3,
+                                              stage="fit")).run()
+    arrays, meta = read_archive(workdir / "stage1-000002.npz")
+    for name in _fit_archives(workdir):
+        (workdir / name).unlink()
+    write_archive(workdir / "stage1.npz", arrays, meta)
+    manifest_path = workdir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["version"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    quarantine = (workdir / "quarantine.jsonl").read_bytes()
+    assert quarantine.count(b"\n") == 2
+    chunks = []
+    with pytest.raises(ResumeError, match="manifest version 1"):
+        ChunkedIngestor(path, IngestConfig(resume=True, **kw),
+                        on_chunk=lambda *chunk: chunks.append(chunk)).run()
+    assert chunks == []
+    assert (workdir / "quarantine.jsonl").read_bytes() == quarantine
+
+
+def test_crash_at_every_fit_chunk_resumes_from_its_archives(tmp_path):
+    """A kill after any fit chunk resumes to the uninterrupted bytes, and
+    the workdir holds exactly one fit archive per fit chunk the manifest
+    counts, before and after the resume."""
+    path = write_file(tmp_path / "log.csv", make_rows(300, seed=5))
+    inject_garbage_lines(path, {7: GARBAGE_LINES[2], 40: GARBAGE_LINES[0]})
+    kw = dict(chunk_rows=32, on_error="quarantine", **PIPELINE_KW)
+    reference = ingest_file(path, IngestConfig(
+        workdir=tmp_path / "reference", **kw))
+    fit_chunks = reference.report.chunks // 2
+    assert fit_chunks == 10
+
+    def archives_match_manifest(workdir):
+        manifest = json.loads((workdir / "manifest.json").read_text())
+        assert manifest["version"] == 2
+        assert _fit_archives(workdir) == [
+            f"stage1-{index:06d}.npz"
+            for index in range(manifest["stage1"]["chunks"])]
+        return manifest["stage1"]["chunks"]
+
+    assert archives_match_manifest(tmp_path / "reference") == fit_chunks
+    for at_chunk in range(1, fit_chunks + 1):
+        workdir = tmp_path / f"wd{at_chunk}"
+        with pytest.raises(InjectedCrash):
+            ChunkedIngestor(path, IngestConfig(workdir=workdir, **kw),
+                            on_chunk=CrashAtChunk(at_chunk=at_chunk,
+                                                  stage="fit")).run()
+        assert archives_match_manifest(workdir) == at_chunk
+        result = ingest_file(path, IngestConfig(workdir=workdir, resume=True,
+                                                **kw))
+        assert result.report.chunks_resumed == at_chunk
+        assert archives_match_manifest(workdir) == fit_chunks
+        for key in ("x", "y", "x_cross"):
+            assert getattr(result.dataset, key).tobytes() == \
+                getattr(reference.dataset, key).tobytes(), (at_chunk, key)
+        assert result.report.as_dict() == dict(
+            reference.report.as_dict(), resumed=True,
+            chunks={"processed": reference.report.chunks - at_chunk,
+                    "resumed": at_chunk},
+            quarantine_path=str(workdir / "quarantine.jsonl"))
+        assert (workdir / "quarantine.jsonl").read_bytes() == \
+            (tmp_path / "reference" / "quarantine.jsonl").read_bytes()
+
+
+def test_fresh_run_into_a_reused_workdir_leaves_only_its_archives(tmp_path):
+    """A run without ``resume`` first deletes the archives and manifest a
+    longer earlier run left in the workdir, so the archives on disk are
+    exactly the ones its own manifest counts, also after a kill and a
+    resume."""
+    long_path = write_file(tmp_path / "long.csv", make_rows(600, seed=6))
+    short_path = write_file(tmp_path / "short.csv", make_rows(200, seed=7))
+    workdir = tmp_path / "wd"
+    kw = dict(chunk_rows=32, workdir=workdir, **PIPELINE_KW)
+    ingest_file(long_path, IngestConfig(**kw))
+    (workdir / "stage1.npz").write_bytes(b"version-1 fit archive")
+    reference = ingest_file(short_path, IngestConfig(
+        chunk_rows=32, workdir=tmp_path / "reference", **PIPELINE_KW))
+
+    def archives_match_manifest():
+        manifest = json.loads((workdir / "manifest.json").read_text())
+        assert _fit_archives(workdir) == [
+            f"stage1-{index:06d}.npz"
+            for index in range(manifest["stage1"]["chunks"])]
+        assert sorted(path.name for path in workdir.glob("chunk-*.npz")) == [
+            f"chunk-{index:06d}.npz"
+            for index in range(manifest["stage2"]["chunks"])]
+
+    ingest_file(short_path, IngestConfig(**kw))
+    archives_match_manifest()
+    ingest_file(long_path, IngestConfig(**kw))
+    with pytest.raises(InjectedCrash):
+        ChunkedIngestor(short_path, IngestConfig(**kw),
+                        on_chunk=CrashAtChunk(at_chunk=2, stage="fit")).run()
+    archives_match_manifest()
+    result = ingest_file(short_path, IngestConfig(resume=True, **kw))
+    assert result.report.chunks_resumed == 2
+    archives_match_manifest()
+    for key in ("x", "y", "x_cross"):
+        assert getattr(result.dataset, key).tobytes() == \
+            getattr(reference.dataset, key).tobytes(), key

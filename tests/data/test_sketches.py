@@ -189,7 +189,8 @@ class TestArchivePersistence:
 
 class DictNumericSketch:
     """The dict-backed numeric sketch that wrote stage-1 archives before
-    the sketch kept sorted arrays (its update and checkpoint state)."""
+    the sketch kept sorted arrays (its update and checkpoint state, plus
+    the merge the ingest folds each chunk's sketch in with)."""
 
     def __init__(self):
         self.counts = {}
@@ -207,6 +208,12 @@ class DictNumericSketch:
                 self.counts[key] = self.counts.get(key, 0) + int(count)
         return self
 
+    def merge(self, other):
+        self.missing += other.missing
+        for value, count in other.counts.items():
+            self.counts[value] = self.counts.get(value, 0) + count
+        return self
+
     def to_state(self):
         values = np.array(sorted(self.counts), dtype=np.float64)
         counts = np.array([self.counts[v] for v in values], dtype=np.int64)
@@ -217,6 +224,9 @@ class DictNumericSketch:
 class TestStage1ArchiveFormat:
     def test_dict_sketch_archive_resumes_to_the_same_dataset(
             self, tmp_path, monkeypatch):
+        """Every per-chunk fit archive written before the crash has the
+        same bytes under both sketches, and resuming from them gives the
+        uninterrupted dataset."""
         rng = np.random.default_rng(5)
         rows = [f"{rng.integers(0, 2)},"
                 f"{rng.choice(['', '-0', '0', '1.5', '-3', '7', 'nan'])},"
@@ -232,13 +242,16 @@ class TestStage1ArchiveFormat:
                 ChunkedIngestor(path, IngestConfig(workdir=workdir, **kw),
                                 on_chunk=CrashAtChunk(at_chunk=4,
                                                       stage="fit")).run()
-            return (workdir / "stage1.npz").read_bytes()
+            return {path.name: path.read_bytes()
+                    for path in workdir.glob("stage1-*.npz")}
 
         with monkeypatch.context() as patch:
             patch.setattr(loaders, "NumericSketch", DictNumericSketch)
             patch.setattr(ingest, "NumericSketch", DictNumericSketch)
-            old_archive = crash(tmp_path / "old")
-        assert crash(tmp_path / "new") == old_archive
+            old_archives = crash(tmp_path / "old")
+        assert sorted(old_archives) == [f"stage1-{index:06d}.npz"
+                                        for index in range(4)]
+        assert crash(tmp_path / "new") == old_archives
 
         resumed = ingest_file(path, IngestConfig(
             workdir=tmp_path / "old", resume=True, **kw))
